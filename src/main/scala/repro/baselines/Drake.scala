@@ -15,88 +15,90 @@ final class Drake extends KMeansAlgo {
   override def extraMemoryFloats(n: Long, k: Long, d: Long): Long =
     2L * n * b(k.toInt) + 2L * n
 
-  override def run(
+  override protected def start(
       data: Array[Array[Double]],
       k: Int,
-      maxIters: Int,
       init: Array[Array[Double]],
-  ): KMeansResult = {
-    require(maxIters >= 1, "need at least one iteration")
-    val n = data.length
-    val rec = new RunRecorder
-    val counter = new DistanceCounter
-
-    var centroids = init.map(_.clone())
-    val nb = b(k)
-    val a = new Array[Int](n)
-    val u = new Array[Double](n)
-    val candId = Array.ofDim[Int](n, nb)
-    val candLb = Array.ofDim[Double](n, nb)
-    val rest = new Array[Double](n) // lower bound for centroids beyond the list
-    val drifts = new Array[Double](k)
-    rec.markInitDone()
+      counter: DistanceCounter,
+  ): KMeansAlgo.Run = new KMeansAlgo.PointRun(data) {
+    private val n = data.length
+    private val nb = b(k)
+    private val u = new Array[Double](n)
+    private val candId = Array.ofDim[Int](n, nb)
+    private val candLb = Array.ofDim[Double](n, nb)
+    private val rest = new Array[Double](n) // lower bound for centroids beyond the list
+    private val exact = new Array[Double](nb)
 
     // Bounded max-heap over (distance, id) used to select the b+2 closest.
-    val heapSize = math.min(k, nb + 2)
-    val heapD = new Array[Double](heapSize)
-    val heapI = new Array[Int](heapSize)
+    private val heapSize = math.min(k, nb + 2)
+    private val heapD = new Array[Double](heapSize)
+    private val heapI = new Array[Int](heapSize)
 
-    def fullRecompute(i: Int): Unit = {
-      var m = 0 // current heap fill
-      var j = 0
-      while (j < k) {
-        val t = counter.dist(data(i), centroids(j))
-        if (m < heapSize) {
-          // push
-          heapD(m) = t; heapI(m) = j; m += 1
-          var c = m - 1
-          while (c > 0 && heapD((c - 1) / 2) < heapD(c)) {
-            val p = (c - 1) / 2
-            val td = heapD(p); heapD(p) = heapD(c); heapD(c) = td
-            val ti = heapI(p); heapI(p) = heapI(c); heapI(c) = ti
-            c = p
-          }
-        } else if (t < heapD(0)) {
-          // replace root, sift down
-          heapD(0) = t; heapI(0) = j
-          var c = 0
-          var done = false
-          while (!done) {
-            val l = 2 * c + 1; val r = 2 * c + 2
-            var big = c
-            if (l < m && heapD(l) > heapD(big)) big = l
-            if (r < m && heapD(r) > heapD(big)) big = r
-            if (big == c) done = true
-            else {
-              val td = heapD(big); heapD(big) = heapD(c); heapD(c) = td
-              val ti = heapI(big); heapI(big) = heapI(c); heapI(c) = ti
-              c = big
+    override def assign(centroids: Array[Array[Double]], it: Int, drifts: Array[Double]): Long = {
+      def fullRecompute(i: Int): Unit = {
+        var m = 0 // current heap fill
+        var j = 0
+        while (j < k) {
+          val t = counter.dist(data(i), centroids(j))
+          if (m < heapSize) {
+            // push
+            heapD(m) = t; heapI(m) = j; m += 1
+            var c = m - 1
+            while (c > 0 && heapD((c - 1) / 2) < heapD(c)) {
+              val p = (c - 1) / 2
+              val td = heapD(p); heapD(p) = heapD(c); heapD(c) = td
+              val ti = heapI(p); heapI(p) = heapI(c); heapI(c) = ti
+              c = p
+            }
+          } else if (t < heapD(0)) {
+            // replace root, sift down
+            heapD(0) = t; heapI(0) = j
+            var c = 0
+            var done = false
+            while (!done) {
+              val l = 2 * c + 1; val r = 2 * c + 2
+              var big = c
+              if (l < m && heapD(l) > heapD(big)) big = l
+              if (r < m && heapD(r) > heapD(big)) big = r
+              if (big == c) done = true
+              else {
+                val td = heapD(big); heapD(big) = heapD(c); heapD(c) = td
+                val ti = heapI(big); heapI(big) = heapI(c); heapI(c) = ti
+                c = big
+              }
             }
           }
+          j += 1
         }
-        j += 1
+        // Insertion-sort the m collected entries ascending.
+        var x = 1
+        while (x < m) {
+          val td = heapD(x); val ti = heapI(x)
+          var y = x - 1
+          while (y >= 0 && heapD(y) > td) { heapD(y + 1) = heapD(y); heapI(y + 1) = heapI(y); y -= 1 }
+          heapD(y + 1) = td; heapI(y + 1) = ti
+          x += 1
+        }
+        a(i) = heapI(0); u(i) = heapD(0)
+        var z = 0
+        while (z < nb && z + 1 < m) { candId(i)(z) = heapI(z + 1); candLb(i)(z) = heapD(z + 1); z += 1 }
+        while (z < nb) { candId(i)(z) = a(i); candLb(i)(z) = Double.PositiveInfinity; z += 1 } // k−1 < b filler
+        rest(i) = if (m == nb + 2 && m == heapSize && k > nb + 1) heapD(m - 1) else Double.PositiveInfinity
       }
-      // Insertion-sort the m collected entries ascending.
-      var x = 1
-      while (x < m) {
-        val td = heapD(x); val ti = heapI(x)
-        var y = x - 1
-        while (y >= 0 && heapD(y) > td) { heapD(y + 1) = heapD(y); heapI(y + 1) = heapI(y); y -= 1 }
-        heapD(y + 1) = td; heapI(y + 1) = ti
-        x += 1
+
+      // Loosen the bounds by the last refine's drifts.
+      if (it > 0) {
+        val maxDrift = KMeans.maxDrift(drifts)
+        var i = 0
+        while (i < n) {
+          u(i) += drifts(a(i))
+          var z = 0
+          while (z < nb) { candLb(i)(z) -= drifts(candId(i)(z)); z += 1 }
+          rest(i) -= maxDrift
+          i += 1
+        }
       }
-      a(i) = heapI(0); u(i) = heapD(0)
-      var z = 0
-      while (z < nb && z + 1 < m) { candId(i)(z) = heapI(z + 1); candLb(i)(z) = heapD(z + 1); z += 1 }
-      while (z < nb) { candId(i)(z) = a(i); candLb(i)(z) = Double.PositiveInfinity; z += 1 } // k−1 < b filler
-      rest(i) = if (m == nb + 2 && m == heapSize && k > nb + 1) heapD(m - 1) else Double.PositiveInfinity
-    }
 
-    var it = 0
-    var converged = false
-    val exact = new Array[Double](nb)
-
-    while (it < maxIters && !converged) {
       var i = 0
       while (i < n) {
         if (it == 0) fullRecompute(i)
@@ -135,30 +137,7 @@ final class Drake extends KMeansAlgo {
         }
         i += 1
       }
-
-      val (next, _) = KMeans.refine(data, a, centroids)
-      var maxDrift = 0.0
-      var j = 0
-      while (j < k) {
-        drifts(j) = Vec.dist(next(j), centroids(j))
-        if (drifts(j) > maxDrift) maxDrift = drifts(j)
-        j += 1
-      }
-      centroids = next
-      i = 0
-      while (i < n) {
-        u(i) += drifts(a(i))
-        var z = 0
-        while (z < nb) { candLb(i)(z) -= drifts(candId(i)(z)); z += 1 }
-        rest(i) -= maxDrift
-        i += 1
-      }
-      it += 1
-      converged = maxDrift <= KMeans.Eps
-      rec.markIterDone()
+      0L
     }
-
-    KMeansResult(centroids, a, it, rec.initMs, rec.iterMs, counter.count, 0L,
-      extraMemoryFloats(n.toLong, k.toLong, data(0).length.toLong))
   }
 }

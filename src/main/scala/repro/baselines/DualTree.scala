@@ -20,40 +20,42 @@ final class DualTree(val leafCapacity: Int = 8) extends KMeansAlgo {
   override def extraMemoryFloats(n: Long, k: Long, d: Long): Long =
     MemoryEstimator.indexFloats(n, leafCapacity.toLong, d) + 3L * (4 * n / leafCapacity) + 4L * n
 
-  override def run(
+  override protected def start(
       data: Array[Array[Double]],
       k: Int,
-      maxIters: Int,
       init: Array[Array[Double]],
-  ): KMeansResult = {
-    require(maxIters >= 1, "need at least one iteration")
-    val n = data.length
-    val rec = new RunRecorder
-    val counter = new DistanceCounter
-    var pruned = 0L
-
-    val tree = BallTree.build(data, leafCapacity)
-    val state = new TreeAssignmentState(data, tree, k)
-    val nodeUb = new Array[Double](tree.nodeCount)
-    val nodeLb = new Array[Double](tree.nodeCount)
-    val nodeVer = new Array[Int](tree.nodeCount)
-    val u = new Array[Double](n)
-    val l = new Array[Double](n)
-    val pVer = new Array[Int](n)
-    rec.markInitDone()
-
-    var centroids = init.map(_.clone())
-    val drifts = new Array[Double](k)
+      counter: DistanceCounter,
+  ): KMeansAlgo.Run = new KMeansAlgo.Run {
+    private val n = data.length
+    private val tree = BallTree.build(data, leafCapacity)
+    private val state = new TreeAssignmentState(data, tree, k)
+    private val nodeUb = new Array[Double](tree.nodeCount)
+    private val nodeLb = new Array[Double](tree.nodeCount)
+    private val nodeVer = new Array[Int](tree.nodeCount)
+    private val u = new Array[Double](n)
+    private val l = new Array[Double](n)
+    private val pVer = new Array[Int](n)
     // cumulative drift per centroid by version; version v = centroids after
     // v refinements, cum(v)(j) = Σ_{τ≤v} δ_τ(j)
-    val cum = scala.collection.mutable.ArrayBuffer(new Array[Double](k))
-    val cumMax = scala.collection.mutable.ArrayBuffer(0.0)
+    private val cum = scala.collection.mutable.ArrayBuffer(new Array[Double](k))
+    private val cumMax = scala.collection.mutable.ArrayBuffer(0.0)
 
-    var it = 0
-    var converged = false
+    override def refine(centroids: Array[Array[Double]], drifts: Array[Double]): Array[Array[Double]] =
+      state.refine(centroids, drifts)
 
-    while (it < maxIters && !converged) {
+    override def assignments: Array[Int] = state.materialize()
+
+    override def assign(centroids: Array[Array[Double]], it: Int, drifts: Array[Double]): Long = {
       val now = it // current centroid version
+      // Extend the cumulative drifts by the last refine's.
+      if (now > 0) {
+        val nextCum = new Array[Double](k)
+        var j = 0
+        while (j < k) { nextCum(j) = cum(now - 1)(j) + drifts(j); j += 1 }
+        cum += nextCum
+        cumMax += (cumMax(now - 1) + KMeans.maxDrift(drifts))
+      }
+      var pruned = 0L
 
       def adjUb(ub: Double, c: Int, ver: Int): Double = ub + (cum(now)(c) - cum(ver)(c))
       def adjLb(lb: Double, ver: Int): Double = lb - (cumMax(now) - cumMax(ver))
@@ -134,19 +136,7 @@ final class DualTree(val leafCapacity: Int = 8) extends KMeansAlgo {
 
       if (k == 1) { state.batchAssign(tree.root, 0); pruned += n }
       else visit(tree.root)
-
-      centroids = state.refine(centroids, drifts)
-      val nextCum = new Array[Double](k)
-      var j = 0
-      while (j < k) { nextCum(j) = cum(now)(j) + drifts(j); j += 1 }
-      cum += nextCum
-      cumMax += (cumMax(now) + KMeans.maxDrift(drifts))
-      it += 1
-      converged = KMeans.maxDrift(drifts) <= KMeans.Eps
-      rec.markIterDone()
+      pruned
     }
-
-    KMeansResult(centroids, state.materialize(), it, rec.initMs, rec.iterMs, counter.count, pruned,
-      extraMemoryFloats(n.toLong, k.toLong, data(0).length.toLong))
   }
 }

@@ -12,30 +12,30 @@ final class Elkan extends KMeansAlgo {
 
   override def extraMemoryFloats(n: Long, k: Long, d: Long): Long = n * k + n + k * k
 
-  override def run(
+  override protected def start(
       data: Array[Array[Double]],
       k: Int,
-      maxIters: Int,
       init: Array[Array[Double]],
-  ): KMeansResult = {
-    require(maxIters >= 1, "need at least one iteration")
-    val n = data.length
-    val rec = new RunRecorder
-    val counter = new DistanceCounter
+      counter: DistanceCounter,
+  ): KMeansAlgo.Run = new KMeansAlgo.PointRun(data) {
+    private val n = data.length
+    private val u = new Array[Double](n)
+    private val l = Array.ofDim[Double](n, k)
+    private val halfCc = Array.ofDim[Double](k, k) // 0.5 · inter-centroid distances
+    private val s = new Array[Double](k)
 
-    var centroids = init.map(_.clone())
-    val a = new Array[Int](n)
-    val u = new Array[Double](n)
-    val l = Array.ofDim[Double](n, k)
-    val halfCc = Array.ofDim[Double](k, k) // 0.5 · inter-centroid distances
-    val s = new Array[Double](k)
-    val drifts = new Array[Double](k)
-    rec.markInitDone()
+    override def assign(centroids: Array[Array[Double]], it: Int, drifts: Array[Double]): Long = {
+      // Loosen the bounds by the last refine's drifts.
+      if (it > 0) {
+        var i = 0
+        while (i < n) {
+          u(i) += drifts(a(i))
+          var c = 0
+          while (c < k) { l(i)(c) = math.max(0.0, l(i)(c) - drifts(c)); c += 1 }
+          i += 1
+        }
+      }
 
-    var it = 0
-    var converged = false
-
-    while (it < maxIters && !converged) {
       // Inter-centroid half-distances and s(j).
       var j = 0
       while (j < k) {
@@ -87,29 +87,7 @@ final class Elkan extends KMeansAlgo {
         }
         i += 1
       }
-
-      val (next, _) = KMeans.refine(data, a, centroids)
-      var maxDrift = 0.0
-      j = 0
-      while (j < k) {
-        drifts(j) = Vec.dist(next(j), centroids(j))
-        if (drifts(j) > maxDrift) maxDrift = drifts(j)
-        j += 1
-      }
-      centroids = next
-      i = 0
-      while (i < n) {
-        u(i) += drifts(a(i))
-        var c = 0
-        while (c < k) { l(i)(c) = math.max(0.0, l(i)(c) - drifts(c)); c += 1 }
-        i += 1
-      }
-      it += 1
-      converged = maxDrift <= KMeans.Eps
-      rec.markIterDone()
+      0L
     }
-
-    KMeansResult(centroids, a, it, rec.initMs, rec.iterMs, counter.count, 0L,
-      extraMemoryFloats(n.toLong, k.toLong, data(0).length.toLong))
   }
 }

@@ -11,41 +11,38 @@ final class Hamerly extends KMeansAlgo {
 
   override def extraMemoryFloats(n: Long, k: Long, d: Long): Long = 2 * n + k
 
-  override def run(
+  override protected def start(
       data: Array[Array[Double]],
       k: Int,
-      maxIters: Int,
       init: Array[Array[Double]],
-  ): KMeansResult = {
-    require(maxIters >= 1, "need at least one iteration")
-    val n = data.length
-    val rec = new RunRecorder
-    val counter = new DistanceCounter
-    rec.markInitDone()
+      counter: DistanceCounter,
+  ): KMeansAlgo.Run = new KMeansAlgo.PointRun(data) {
+    private val n = data.length
+    private val u = new Array[Double](n)
+    private val l = new Array[Double](n)
+    private val s = new Array[Double](k)
 
-    var centroids = init.map(_.clone())
-    val a = new Array[Int](n)
-    val u = new Array[Double](n)
-    val l = new Array[Double](n)
-    val s = new Array[Double](k)
-    val drifts = new Array[Double](k)
-    var it = 0
-    var converged = false
-
-    /** Full scan of point i: set a, u (closest) and l (second closest). */
-    def fullScan(i: Int): Unit = {
-      var best = -1; var d1 = Double.PositiveInfinity; var d2 = Double.PositiveInfinity
-      var j = 0
-      while (j < k) {
-        val t = counter.dist(data(i), centroids(j))
-        if (t < d1) { d2 = d1; d1 = t; best = j }
-        else if (t < d2) { d2 = t }
-        j += 1
+    override def assign(centroids: Array[Array[Double]], it: Int, drifts: Array[Double]): Long = {
+      /** Full scan of point i: set a, u (closest) and l (second closest). */
+      def fullScan(i: Int): Unit = {
+        var best = -1; var d1 = Double.PositiveInfinity; var d2 = Double.PositiveInfinity
+        var j = 0
+        while (j < k) {
+          val t = counter.dist(data(i), centroids(j))
+          if (t < d1) { d2 = d1; d1 = t; best = j }
+          else if (t < d2) { d2 = t }
+          j += 1
+        }
+        a(i) = best; u(i) = d1; l(i) = d2
       }
-      a(i) = best; u(i) = d1; l(i) = d2
-    }
 
-    while (it < maxIters && !converged) {
+      // Loosen the bounds by the last refine's drifts.
+      if (it > 0) {
+        val maxDrift = KMeans.maxDrift(drifts)
+        var i = 0
+        while (i < n) { u(i) += drifts(a(i)); l(i) -= maxDrift; i += 1 }
+      }
+
       // s(j): half the distance to the nearest other centroid.
       if (k > 1) {
         var j = 0
@@ -73,24 +70,7 @@ final class Hamerly extends KMeansAlgo {
         }
         i += 1
       }
-
-      val (next, _) = KMeans.refine(data, a, centroids)
-      var j = 0
-      var maxDrift = 0.0
-      while (j < k) {
-        drifts(j) = Vec.dist(next(j), centroids(j))
-        if (drifts(j) > maxDrift) maxDrift = drifts(j)
-        j += 1
-      }
-      centroids = next
-      i = 0
-      while (i < n) { u(i) += drifts(a(i)); l(i) -= maxDrift; i += 1 }
-      it += 1
-      converged = maxDrift <= KMeans.Eps
-      rec.markIterDone()
+      0L
     }
-
-    KMeansResult(centroids, a, it, rec.initMs, rec.iterMs, counter.count, 0L,
-      extraMemoryFloats(n.toLong, k.toLong, data(0).length.toLong))
   }
 }

@@ -11,44 +11,16 @@ final class Lloyd extends KMeansAlgo {
 
   override def extraMemoryFloats(n: Long, k: Long, d: Long): Long = 0L
 
-  override def run(
+  override protected def start(
       data: Array[Array[Double]],
       k: Int,
-      maxIters: Int,
       init: Array[Array[Double]],
-  ): KMeansResult = {
-    require(maxIters >= 1, "need at least one iteration")
-    val n = data.length
-    val rec = new RunRecorder
-    val counter = new DistanceCounter
-    rec.markInitDone()
-
-    var centroids = init.map(_.clone())
-    val a = new Array[Int](n)
-    var it = 0
-    var converged = false
-    var drifts = new Array[Double](k)
-
-    while (it < maxIters && !converged) {
+      counter: DistanceCounter,
+  ): KMeansAlgo.Run = new KMeansAlgo.PointRun(data) {
+    override def assign(centroids: Array[Array[Double]], it: Int, drifts: Array[Double]): Long = {
       var i = 0
-      while (i < n) {
-        var best = -1; var bestD = Double.PositiveInfinity
-        var j = 0
-        while (j < k) {
-          val t = counter.dist2(data(i), centroids(j))
-          if (t < bestD) { bestD = t; best = j }
-          j += 1
-        }
-        a(i) = best
-        i += 1
-      }
-      val (next, dr) = KMeans.refine(data, a, centroids)
-      centroids = next; drifts = dr
-      it += 1
-      converged = KMeans.maxDrift(drifts) <= KMeans.Eps
-      rec.markIterDone()
+      while (i < data.length) { a(i) = Vec.nearest(data(i), centroids); counter.count += k; i += 1 }
+      0L
     }
-
-    KMeansResult(centroids, a, it, rec.initMs, rec.iterMs, counter.count, 0L, 0L)
   }
 }

@@ -15,29 +15,18 @@ final class NoBound extends KMeansAlgo {
 
   override def extraMemoryFloats(n: Long, k: Long, d: Long): Long = k * k + n + 2 * k
 
-  override def run(
+  override protected def start(
       data: Array[Array[Double]],
       k: Int,
-      maxIters: Int,
       init: Array[Array[Double]],
-  ): KMeansResult = {
-    require(maxIters >= 1, "need at least one iteration")
-    val n = data.length
-    val rec = new RunRecorder
-    val counter = new DistanceCounter
+      counter: DistanceCounter,
+  ): KMeansAlgo.Run = new KMeansAlgo.PointRun(data) {
+    private val n = data.length
+    private val dToOwn = new Array[Double](n) // ‖x − c_a(x)‖ under current centroids
+    private val radius = new Array[Double](k)
+    private val cc = Array.ofDim[Double](k, k)
 
-    var centroids = init.map(_.clone())
-    val a = new Array[Int](n)
-    val dToOwn = new Array[Double](n) // ‖x − c_a(x)‖ under current centroids
-    val radius = new Array[Double](k)
-    val cc = Array.ofDim[Double](k, k)
-    val drifts = new Array[Double](k)
-    rec.markInitDone()
-
-    var it = 0
-    var converged = false
-
-    while (it < maxIters && !converged) {
+    override def assign(centroids: Array[Array[Double]], it: Int, drifts: Array[Double]): Long = {
       if (it == 0) {
         // Full assignment (the costly init the paper reports).
         var i = 0
@@ -107,22 +96,7 @@ final class NoBound extends KMeansAlgo {
           i += 1
         }
       }
-
-      val (next, _) = KMeans.refine(data, a, centroids)
-      var maxDrift = 0.0
-      var j = 0
-      while (j < k) {
-        drifts(j) = Vec.dist(next(j), centroids(j))
-        if (drifts(j) > maxDrift) maxDrift = drifts(j)
-        j += 1
-      }
-      centroids = next
-      it += 1
-      converged = maxDrift <= KMeans.Eps
-      rec.markIterDone()
+      0L
     }
-
-    KMeansResult(centroids, a, it, rec.initMs, rec.iterMs, counter.count, 0L,
-      extraMemoryFloats(n.toLong, k.toLong, data(0).length.toLong))
   }
 }

@@ -14,69 +14,78 @@ final class Yinyang extends KMeansAlgo {
   override def extraMemoryFloats(n: Long, k: Long, d: Long): Long =
     n.toLong * groupsOf(k.toInt) + 2L * n
 
-  override def run(
+  override protected def start(
       data: Array[Array[Double]],
       k: Int,
-      maxIters: Int,
       init: Array[Array[Double]],
-  ): KMeansResult = {
-    require(maxIters >= 1, "need at least one iteration")
-    val n = data.length
-    val rec = new RunRecorder
-    val counter = new DistanceCounter
-
-    var centroids = init.map(_.clone())
-    val nG = groupsOf(k)
+      counter: DistanceCounter,
+  ): KMeansAlgo.Run = new KMeansAlgo.PointRun(data) {
+    private val n = data.length
+    private val nG = groupsOf(k)
 
     // Group the initial centroids with a few Lloyd iterations (as in the
     // paper's setup); groups stay fixed afterwards.
-    val group = new Array[Int](k)
+    private val group = new Array[Int](k)
     if (nG < k) {
       val gInit = KMeans.initCentroids(init, nG, seed = 7L)
       val gRes = new Lloyd().run(init, nG, maxIters = 5, gInit)
       System.arraycopy(gRes.assignments, 0, group, 0, k)
     }
-    val members: Array[Array[Int]] = {
+    private val members: Array[Array[Int]] = {
       val buf = Array.fill(nG)(scala.collection.mutable.ArrayBuffer.empty[Int])
       var j = 0
       while (j < k) { buf(group(j)) += j; j += 1 }
       buf.map(_.toArray)
     }
 
-    val a = new Array[Int](n)
-    val u = new Array[Double](n)
-    val lb = Array.ofDim[Double](n, nG)
-    val drifts = new Array[Double](k)
-    val groupDrift = new Array[Double](nG)
+    private val u = new Array[Double](n)
+    private val lb = Array.ofDim[Double](n, nG)
+    private val groupDrift = new Array[Double](nG)
     // scratch per-group scan results
-    val gMinA = new Array[Double](nG)
-    val gSecA = new Array[Double](nG)
-    val gArgA = new Array[Int](nG)
-    val scanned = new Array[Boolean](nG)
-    rec.markInitDone()
+    private val gMinA = new Array[Double](nG)
+    private val gSecA = new Array[Double](nG)
+    private val gArgA = new Array[Int](nG)
+    private val scanned = new Array[Boolean](nG)
 
-    var it = 0
-    var converged = false
-
-    /** Scan group g exactly; j == skipId contributes the known distance
-      * skipD instead of a fresh computation.
-      */
-    def scanGroup(i: Int, g: Int, skipId: Int, skipD: Double): Unit = {
-      var gMin = Double.PositiveInfinity; var gSecond = Double.PositiveInfinity
-      var gArg = -1
-      val ms = members(g)
-      var x = 0
-      while (x < ms.length) {
-        val j = ms(x)
-        val t = if (j == skipId) skipD else counter.dist(data(i), centroids(j))
-        if (t < gMin) { gSecond = gMin; gMin = t; gArg = j }
-        else if (t < gSecond) gSecond = t
-        x += 1
+    override def assign(centroids: Array[Array[Double]], it: Int, drifts: Array[Double]): Long = {
+      /** Scan group g exactly; j == skipId contributes the known distance
+        * skipD instead of a fresh computation.
+        */
+      def scanGroup(i: Int, g: Int, skipId: Int, skipD: Double): Unit = {
+        var gMin = Double.PositiveInfinity; var gSecond = Double.PositiveInfinity
+        var gArg = -1
+        val ms = members(g)
+        var x = 0
+        while (x < ms.length) {
+          val j = ms(x)
+          val t = if (j == skipId) skipD else counter.dist(data(i), centroids(j))
+          if (t < gMin) { gSecond = gMin; gMin = t; gArg = j }
+          else if (t < gSecond) gSecond = t
+          x += 1
+        }
+        gMinA(g) = gMin; gSecA(g) = gSecond; gArgA(g) = gArg; scanned(g) = true
       }
-      gMinA(g) = gMin; gSecA(g) = gSecond; gArgA(g) = gArg; scanned(g) = true
-    }
 
-    while (it < maxIters && !converged) {
+      // Loosen the bounds by the last refine's drifts.
+      if (it > 0) {
+        var g = 0
+        while (g < nG) {
+          var m = 0.0
+          val ms = members(g)
+          var x = 0
+          while (x < ms.length) { if (drifts(ms(x)) > m) m = drifts(ms(x)); x += 1 }
+          groupDrift(g) = m
+          g += 1
+        }
+        var i = 0
+        while (i < n) {
+          u(i) += drifts(a(i))
+          g = 0
+          while (g < nG) { lb(i)(g) -= groupDrift(g); g += 1 }
+          i += 1
+        }
+      }
+
       var i = 0
       while (i < n) {
         if (it == 0) {
@@ -131,38 +140,7 @@ final class Yinyang extends KMeansAlgo {
         }
         i += 1
       }
-
-      val (next, _) = KMeans.refine(data, a, centroids)
-      var maxDrift = 0.0
-      var j = 0
-      while (j < k) {
-        drifts(j) = Vec.dist(next(j), centroids(j))
-        if (drifts(j) > maxDrift) maxDrift = drifts(j)
-        j += 1
-      }
-      var g = 0
-      while (g < nG) {
-        var m = 0.0
-        val ms = members(g)
-        var x = 0
-        while (x < ms.length) { if (drifts(ms(x)) > m) m = drifts(ms(x)); x += 1 }
-        groupDrift(g) = m
-        g += 1
-      }
-      centroids = next
-      i = 0
-      while (i < n) {
-        u(i) += drifts(a(i))
-        g = 0
-        while (g < nG) { lb(i)(g) -= groupDrift(g); g += 1 }
-        i += 1
-      }
-      it += 1
-      converged = maxDrift <= KMeans.Eps
-      rec.markIterDone()
+      0L
     }
-
-    KMeansResult(centroids, a, it, rec.initMs, rec.iterMs, counter.count, 0L,
-      extraMemoryFloats(n.toLong, k.toLong, data(0).length.toLong))
   }
 }

@@ -46,48 +46,24 @@ final class DaskMeans(
   override def extraMemoryFloats(n: Long, k: Long, d: Long): Long =
     MemoryEstimator.daskMeansExtraFloats(n, k, d, leafCapacity)
 
-  override def run(
+  override protected def start(
       data: Array[Array[Double]],
       k: Int,
-      maxIters: Int,
       init: Array[Array[Double]],
-  ): KMeansResult = {
-    require(maxIters >= 1, "need at least one iteration")
-    val rec = new RunRecorder
-    val counter = new DistanceCounter
-    var pruned = 0L
+      counter: DistanceCounter,
+  ): KMeansAlgo.Run = new KMeansAlgo.Run {
+    private val state = new TreeAssignmentState(data, prebuilt.getOrElse(BallTree.build(data, leafCapacity)), k)
+    private var cb = new Array[Double](k)
 
-    val tree = prebuilt.getOrElse(BallTree.build(data, leafCapacity))
-    val state = new TreeAssignmentState(data, tree, k)
-    rec.markInitDone()
-
-    var centroids = init.map(_.clone())
-    var cb: Array[Double] = new Array[Double](k)
-    val drifts = new Array[Double](k)
-    var it = 0
-    var converged = false
-
-    while (it < maxIters && !converged) {
-      val index: CentroidIndex =
-        if (useKnn && k > 1) new CentroidIndex(centroids, leafCapacity, counter) else null
-      if (useInterBound)
-        cb = DaskAssign.interBounds(centroids, index, first = it == 0, cb, drifts, counter)
-      pruned += DaskAssign.step(state, centroids, if (useInterBound) cb else null, index, counter)
-      centroids = state.refine(centroids, drifts)
-      it += 1
-      converged = KMeans.maxDrift(drifts) <= KMeans.Eps
-      rec.markIterDone()
+    override def assign(centroids: Array[Array[Double]], it: Int, drifts: Array[Double]): Long = {
+      val index = if (useKnn && k > 1) new CentroidIndex(centroids, leafCapacity, counter) else null
+      if (useInterBound) cb = DaskAssign.interBounds(centroids, index, first = it == 0, cb, drifts, counter)
+      DaskAssign.step(state, centroids, if (useInterBound) cb else null, index, counter)
     }
 
-    KMeansResult(
-      centroids = centroids,
-      assignments = state.materialize(),
-      iterations = it,
-      initMs = rec.initMs,
-      iterMs = rec.iterMs,
-      distanceComputations = counter.count,
-      batchPrunedVectors = pruned,
-      extraMemoryFloats = extraMemoryFloats(data.length.toLong, k.toLong, data(0).length.toLong),
-    )
+    override def refine(centroids: Array[Array[Double]], drifts: Array[Double]): Array[Array[Double]] =
+      state.refine(centroids, drifts)
+
+    override def assignments: Array[Int] = state.materialize()
   }
 }

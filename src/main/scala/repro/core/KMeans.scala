@@ -37,6 +37,23 @@ final case class KMeansResult(
   }
 }
 
+/** One algorithm's per-run state, built in its init phase and driven by
+  * [[KMeans.iterate]] through Lloyd's assign → refine → converge sequence.
+  */
+trait KMeansRun {
+
+  /** Assign every point to its nearest of `centroids`. `drifts` are the
+    * previous refine's per-centroid drifts, all zero at `it` = 0. Returns
+    * the vectors assigned without an individual centroid search.
+    */
+  def assign(centroids: Array[Array[Double]], it: Int, drifts: Array[Double]): Long
+
+  /** The next centroids from the current assignment; writes each one's
+    * drift from `centroids` into `drifts`.
+    */
+  def refine(centroids: Array[Array[Double]], drifts: Array[Double]): Array[Array[Double]]
+}
+
 /** An exact k-means algorithm: must produce Lloyd's fixed point sequence. */
 trait KMeansAlgo {
   def name: String
@@ -46,16 +63,84 @@ trait KMeansAlgo {
     */
   def extraMemoryFloats(n: Long, k: Long, d: Long): Long
 
+  /** The init phase: build this algorithm's per-run state (indexes, bounds,
+    * …) over `data`, counting every distance it computes in `counter`.
+    */
+  protected def start(
+      data: Array[Array[Double]],
+      k: Int,
+      init: Array[Array[Double]],
+      counter: DistanceCounter,
+  ): KMeansAlgo.Run
+
   /** Run from the given initial centroids (shared across algorithms so runs
     * are comparable and exactness is testable).
     */
-  def run(data: Array[Array[Double]], k: Int, maxIters: Int, init: Array[Array[Double]]): KMeansResult
+  final def run(data: Array[Array[Double]], k: Int, maxIters: Int, init: Array[Array[Double]]): KMeansResult = {
+    require(maxIters >= 1, "need at least one iteration")
+    val t0 = System.nanoTime()
+    val counter = new DistanceCounter
+    val state = start(data, k, init, counter)
+    val initMs = (System.nanoTime() - t0) / 1e6
+    val out = KMeans.iterate(init, maxIters, state)
+    KMeansResult(out.centroids, state.assignments, out.iterations, initMs, out.iterMs, counter.count, out.pruned,
+      extraMemoryFloats(data.length.toLong, k.toLong, data(0).length.toLong))
+  }
+}
+
+object KMeansAlgo {
+
+  /** Per-run state of a serial algorithm, which also yields the final
+    * per-point assignments.
+    */
+  trait Run extends KMeansRun {
+    def assignments: Array[Int]
+  }
+
+  /** A run that keeps one cluster id per point in `a` and refines with
+    * [[KMeans.refine]].
+    */
+  abstract class PointRun(data: Array[Array[Double]]) extends Run {
+    val a: Array[Int] = new Array[Int](data.length)
+
+    override def refine(centroids: Array[Array[Double]], drifts: Array[Double]): Array[Array[Double]] =
+      KMeans.refine(data, a, centroids, drifts)
+
+    override def assignments: Array[Int] = a
+  }
 }
 
 object KMeans {
 
   /** Centroid-drift threshold below which a run is declared converged. */
   val Eps: Double = 1e-12
+
+  /** Outcome of [[iterate]]: final centroids, assignment phases run, pruned
+    * vectors summed over them, and the wall time of each.
+    */
+  final case class Iterated(centroids: Array[Array[Double]], iterations: Int, pruned: Long, iterMs: Array[Double])
+
+  /** The iteration driver of every algorithm, serial or distributed
+    * (Algorithm 1): from `init`, assign then refine until no centroid drifts
+    * more than [[Eps]] or `maxIters` assignment phases have run.
+    */
+  def iterate(init: Array[Array[Double]], maxIters: Int, run: KMeansRun): Iterated = {
+    var centroids = init.map(_.clone())
+    val drifts = new Array[Double](init.length)
+    val iterMs = Array.newBuilder[Double]
+    var pruned = 0L
+    var it = 0
+    var converged = false
+    while (it < maxIters && !converged) {
+      val t0 = System.nanoTime()
+      pruned += run.assign(centroids, it, drifts)
+      centroids = run.refine(centroids, drifts)
+      it += 1
+      converged = maxDrift(drifts) <= Eps
+      iterMs += (System.nanoTime() - t0) / 1e6
+    }
+    Iterated(centroids, it, pruned, iterMs.result())
+  }
 
   /** Deterministic initial centroids: a seeded sample of k distinct points
     * (the paper compares exact accelerators, so all algorithms must share
@@ -74,57 +159,44 @@ object KMeans {
     out
   }
 
-  /** Standard refinement shared by all algorithms: mean of members, keeping
-    * the previous centroid for an emptied cluster. Returns (newCentroids,
-    * drifts).
+  /** Standard refinement: mean of members, keeping the previous centroid
+    * for an emptied cluster. Writes the drifts into `drifts`.
     */
   def refine(
       data: Array[Array[Double]],
       assignments: Array[Int],
       old: Array[Array[Double]],
-  ): (Array[Array[Double]], Array[Double]) = {
+      drifts: Array[Double],
+  ): Array[Array[Double]] = {
     val k = old.length; val d = old(0).length
     val sums = Array.fill(k)(new Array[Double](d))
-    val counts = new Array[Int](k)
+    val counts = new Array[Long](k)
     var i = 0
     while (i < data.length) {
       val a = assignments(i)
       Vec.addInto(sums(a), data(i)); counts(a) += 1
       i += 1
     }
-    fromSums(sums, counts, old)
+    fromSums(sums, counts, old, drifts)
   }
 
   /** Refinement from pre-aggregated (sum, count) pairs. */
   def fromSums(
       sums: Array[Array[Double]],
-      counts: Array[Int],
+      counts: Array[Long],
       old: Array[Array[Double]],
-  ): (Array[Array[Double]], Array[Double]) = {
+      drifts: Array[Double],
+  ): Array[Array[Double]] = {
     val k = old.length
     val out = new Array[Array[Double]](k)
-    val drifts = new Array[Double](k)
     var j = 0
     while (j < k) {
-      out(j) = if (counts(j) > 0) Vec.scale(sums(j), 1.0 / counts(j)) else old(j).clone()
+      out(j) = if (counts(j) > 0) Vec.scale(sums(j), 1.0 / counts(j)) else old(j)
       drifts(j) = Vec.dist(out(j), old(j))
       j += 1
     }
-    (out, drifts)
+    out
   }
 
   def maxDrift(drifts: Array[Double]): Double = { var m = 0.0; var j = 0; while (j < drifts.length) { if (drifts(j) > m) m = drifts(j); j += 1 }; m }
-}
-
-/** Wall-clock recorder shared by all algorithm implementations. */
-final class RunRecorder {
-  private var t0 = System.nanoTime()
-  private val iters = scala.collection.mutable.ArrayBuffer.empty[Double]
-  var initMs: Double = 0.0
-
-  def markInitDone(): Unit = { initMs = (System.nanoTime() - t0) / 1e6; t0 = System.nanoTime() }
-
-  def markIterDone(): Unit = { iters += (System.nanoTime() - t0) / 1e6; t0 = System.nanoTime() }
-
-  def iterMs: Array[Double] = iters.toArray
 }

@@ -16,7 +16,7 @@ final class TreeAssignmentState(
 ) {
   val d: Int = data(0).length
   val assignments: Array[Int] = Array.fill(data.length)(-1)
-  val counts: Array[Int] = new Array[Int](k)
+  val counts: Array[Long] = new Array[Long](k)
   val sums: Array[Array[Double]] = Array.fill(k)(new Array[Double](d))
 
   tree.root.resetAssignment()
@@ -94,14 +94,6 @@ final class TreeAssignmentState(
   }
 
   /** Refine centroids from the dynamic sums; empty clusters keep theirs. */
-  def refine(old: Array[Array[Double]], drifts: Array[Double]): Array[Array[Double]] = {
-    val next = new Array[Array[Double]](k)
-    var j = 0
-    while (j < k) {
-      next(j) = if (counts(j) > 0) Vec.scale(sums(j), 1.0 / counts(j)) else old(j)
-      drifts(j) = Vec.dist(next(j), old(j))
-      j += 1
-    }
-    next
-  }
+  def refine(old: Array[Array[Double]], drifts: Array[Double]): Array[Array[Double]] =
+    KMeans.fromSums(sums, counts, old, drifts)
 }

@@ -19,6 +19,16 @@ object Vec {
     s
   }
 
+  /** Index of the nearest of `cs` to `p` by squared distance; on a tie the
+    * lowest index wins.
+    */
+  def nearest(p: Array[Double], cs: Array[Array[Double]]): Int = {
+    var best = 0; var bd = Double.PositiveInfinity
+    var j = 0
+    while (j < cs.length) { val t = dist2(p, cs(j)); if (t < bd) { bd = t; best = j }; j += 1 }
+    best
+  }
+
   /** In-place a += b. */
   def addInto(a: Array[Double], b: Array[Double]): Unit = {
     var i = 0; while (i < a.length) { a(i) += b(i); i += 1 }
@@ -27,11 +37,6 @@ object Vec {
   /** In-place a −= b. */
   def subInto(a: Array[Double], b: Array[Double]): Unit = {
     var i = 0; while (i < a.length) { a(i) -= b(i); i += 1 }
-  }
-
-  /** In-place a += s·b. */
-  def axpyInto(a: Array[Double], s: Double, b: Array[Double]): Unit = {
-    var i = 0; while (i < a.length) { a(i) += s * b(i); i += 1 }
   }
 
   /** a / s as a fresh array. */

@@ -1,6 +1,7 @@
 package repro.spark
 
 import org.apache.spark.TaskContext
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 
@@ -68,6 +69,7 @@ object DistributedDaskMeans {
   /** Fit k-means over `df` (columns `id`, `features`). The frame should be
     * persisted by the caller if it is expensive to recompute; partitions
     * must be deterministic across iterations (repartition(id) enforces it).
+    * If the fit throws, the run's partition cache is dropped.
     */
   def fit(
       df: DataFrame,
@@ -84,72 +86,84 @@ object DistributedDaskMeans {
     pts.count() // materialise so the partition layout is frozen
 
     val runId = java.util.UUID.randomUUID().toString
-    var centroids = init.map(_.map(_.clone())).getOrElse(initialCentroids(pts, k, seed))
-    require(centroids.length == k, s"need k=$k distinct initial centroids, got ${centroids.length}")
-    val d = centroids(0).length
-    var cb: Array[Double] = new Array[Double](k)
-    val drifts = new Array[Double](k)
+    val start = init.getOrElse(initialCentroids(pts, k, seed))
+    require(start.length == k, s"need k=$k distinct initial centroids, got ${start.length}")
+    val d = start(0).length
     val driverCounter = new DistanceCounter
-    var it = 0
-    var converged = false
-    var pruned = 0L
 
-    while (it < maxIters && !converged) {
-      // Driver-side inter bounds over a centroid index (k is small).
-      val index = if (k > 1) new CentroidIndex(centroids, leafCapacity, driverCounter) else null
-      cb = DaskAssign.interBounds(centroids, index, first = it == 0, cb, drifts, driverCounter)
-      val bc = spark.sparkContext.broadcast((centroids, cb))
+    val run = new KMeansRun {
+      private var cb = new Array[Double](k)
+      private var sums: Array[Array[Double]] = null
+      private var counts: Array[Long] = null
 
-      // Per-partition batch assignment over the cached trees.
-      import spark.implicits._
-      val partials: Array[(Int, Long, Array[Double], Long)] = pts
-        .mapPartitions { rows =>
-          val pid = TaskContext.getPartitionId()
-          val entry = PartitionIndexCache.getOrBuild(runId, pid, () => {
-            val buf = rows.map(r => (r.getLong(0), r.getSeq[Double](1).toArray)).toArray
-            val data = buf.map(_._2)
-            val counter = new DistanceCounter
-            if (data.isEmpty) new PartitionIndexCache.Entry(Array.empty, null, counter)
-            else new PartitionIndexCache.Entry(
-              buf.map(_._1),
-              new TreeAssignmentState(data, BallTree.build(data, leafCapacity), k),
-              counter)
-          })
-          if (entry.state == null) Iterator.empty
-          else {
-            val (cs, cbLocal) = bc.value
-            val localIndex = if (k > 1) new CentroidIndex(cs, leafCapacity, entry.counter) else null
-            val prunedHere = DaskAssign.step(entry.state, cs, cbLocal, localIndex, entry.counter)
-            (0 until k).iterator
-              .filter(j => entry.state.counts(j) > 0)
-              .map(j => (j, entry.state.counts(j).toLong, entry.state.sums(j), if (j == 0) prunedHere else 0L))
-          }
+      override def assign(centroids: Array[Array[Double]], it: Int, drifts: Array[Double]): Long = {
+        // Driver-side inter bounds over a centroid index (k is small).
+        val index = if (k > 1) new CentroidIndex(centroids, leafCapacity, driverCounter) else null
+        cb = DaskAssign.interBounds(centroids, index, first = it == 0, cb, drifts, driverCounter)
+        val bc = spark.sparkContext.broadcast((centroids, cb))
+        val partials = assignPartitions(pts, runId, k, leafCapacity, bc)
+        bc.unpersist()
+
+        // Reduce partials into per-cluster sums; cluster −1 carries a
+        // partition's pruned count.
+        sums = Array.fill(k)(new Array[Double](d))
+        counts = new Array[Long](k)
+        var pruned = 0L
+        partials.foreach { case (j, c, s) =>
+          if (j < 0) pruned += c
+          else { counts(j) += c; Vec.addInto(sums(j), s) }
         }
-        .collect()
+        pruned
+      }
 
-      // Reduce partials into new centroids.
-      val sums = Array.fill(k)(new Array[Double](d))
-      val counts = new Array[Long](k)
-      partials.foreach { case (j, c, s, pr) =>
-        counts(j) += c
-        Vec.addInto(sums(j), s)
-        pruned += pr
-      }
-      var j = 0
-      val next = new Array[Array[Double]](k)
-      while (j < k) {
-        next(j) = if (counts(j) > 0) Vec.scale(sums(j), 1.0 / counts(j)) else centroids(j)
-        drifts(j) = Vec.dist(next(j), centroids(j))
-        j += 1
-      }
-      centroids = next
-      it += 1
-      converged = KMeans.maxDrift(drifts) <= KMeans.Eps
-      bc.unpersist()
+      override def refine(centroids: Array[Array[Double]], drifts: Array[Double]): Array[Array[Double]] =
+        KMeans.fromSums(sums, counts, centroids, drifts)
     }
 
-    pts.unpersist()
-    FitResult(centroids, it, runId, pruned)
+    try {
+      val out = KMeans.iterate(start, maxIters, run)
+      FitResult(out.centroids, out.iterations, runId, out.pruned)
+    } catch {
+      case t: Throwable => PartitionIndexCache.drop(runId); throw t
+    } finally pts.unpersist()
+  }
+
+  /** One assignment phase over every partition's cached tree: the
+    * (cluster, count, sum) partials of its non-empty clusters, and one
+    * (−1, pruned vectors, ∅) record.
+    */
+  private def assignPartitions(
+      pts: DataFrame,
+      runId: String,
+      k: Int,
+      leafCapacity: Int,
+      bc: Broadcast[(Array[Array[Double]], Array[Double])],
+  ): Array[(Int, Long, Array[Double])] = {
+    import pts.sparkSession.implicits._
+    pts
+      .mapPartitions { rows =>
+        val pid = TaskContext.getPartitionId()
+        val entry = PartitionIndexCache.getOrBuild(runId, pid, () => {
+          val buf = rows.map(r => (r.getLong(0), r.getSeq[Double](1).toArray)).toArray
+          val data = buf.map(_._2)
+          val counter = new DistanceCounter
+          if (data.isEmpty) new PartitionIndexCache.Entry(Array.empty, null, counter)
+          else new PartitionIndexCache.Entry(
+            buf.map(_._1),
+            new TreeAssignmentState(data, BallTree.build(data, leafCapacity), k),
+            counter)
+        })
+        if (entry.state == null) Iterator.empty
+        else {
+          val (cs, cb) = bc.value
+          val index = if (k > 1) new CentroidIndex(cs, leafCapacity, entry.counter) else null
+          val pruned = DaskAssign.step(entry.state, cs, cb, index, entry.counter)
+          val st = entry.state
+          Iterator.single((-1, pruned, Array.emptyDoubleArray)) ++
+            (0 until k).iterator.filter(j => st.counts(j) > 0).map(j => (j, st.counts(j), st.sums(j)))
+        }
+      }
+      .collect()
   }
 
   /** Final per-point assignments of a finished run as a DataFrame
@@ -175,26 +189,13 @@ object DistributedDaskMeans {
               val id = r.getLong(0)
               val i = byId.getOrDefault(id, -1)
               if (i >= 0) (id, a(i))
-              else {
-                val p = r.getSeq[Double](1).toArray
-                (id, nearestOf(p, bc.value))
-              }
+              else (id, Vec.nearest(r.getSeq[Double](1).toArray, bc.value))
             }
           case _ =>
-            rows.map { r =>
-              val p = r.getSeq[Double](1).toArray
-              (r.getLong(0), nearestOf(p, bc.value))
-            }
+            rows.map(r => (r.getLong(0), Vec.nearest(r.getSeq[Double](1).toArray, bc.value)))
         }
       }
       .toDF("id", "cluster")
-  }
-
-  private def nearestOf(p: Array[Double], cs: Array[Array[Double]]): Int = {
-    var best = 0; var bd = Double.PositiveInfinity
-    var j = 0
-    while (j < cs.length) { val t = Vec.dist2(p, cs(j)); if (t < bd) { bd = t; best = j }; j += 1 }
-    best
   }
 
   def cleanup(fitted: FitResult): Unit = PartitionIndexCache.drop(fitted.runId)
@@ -208,10 +209,7 @@ object DistributedDaskMeans {
       .map { r =>
         val p = r.getSeq[Double](0).toArray
         val cs = bc.value
-        var bd = Double.PositiveInfinity
-        var j = 0
-        while (j < cs.length) { val t = Vec.dist2(p, cs(j)); if (t < bd) bd = t; j += 1 }
-        bd
+        Vec.dist2(p, cs(Vec.nearest(p, cs)))
       }
       .reduce(_ + _)
   }

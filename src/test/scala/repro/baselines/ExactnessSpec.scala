@@ -107,6 +107,65 @@ class ExactnessSpec extends AnyFunSuite {
     }
   }
 
+  test("outputs pinned bit for bit on three fixed inputs") {
+    // (input, initial centroids, leaf capacity). The last input draws its
+    // initial centroids from the blobs and from the empty field around them,
+    // so clusters start and end empty.
+    val inputs = Seq(
+      ("blobs-2d", TestData.blobs(600, 2, 8, 3.0, 11L), 12, 16),
+      ("uniform-3d", TestData.uniform(500, 3, 12L), 20, 16),
+      ("k-near-n", TestData.blobs(120, 2, 2, 0.3, 8L), 40, 4),
+    ).map { case (label, data, k, f) =>
+      val pool = if (label == "k-near-n") data ++ TestData.uniform(120, 2, 14L) else data
+      (label, data, KMeans.initCentroids(pool, k, 13L), f)
+    }
+    val got = for ((label, data, init, f) <- inputs; algo <- new Lloyd +: suite(f)) yield {
+      val k = init.length
+      val r = algo.run(data, k, 15, init)
+      if (label == "k-near-n") assert(r.assignments.distinct.length < k, s"${algo.name}: no cluster emptied")
+      val centroidBits = java.util.Arrays.hashCode(r.centroids.flatten.map(java.lang.Double.doubleToLongBits))
+      s"$label ${algo.name}" ->
+        (r.iterations, r.distanceComputations, r.batchPrunedVectors, java.util.Arrays.hashCode(r.assignments), centroidBits)
+    }
+    // Recorded before the algorithms shared one iteration driver:
+    // (iterations, distanceComputations, batchPrunedVectors,
+    //  hash of assignments, hash of the centroids' bits).
+    val pinned = Map(
+      "blobs-2d Lloyd" -> (7, 50400L, 0L, -1480251820, -1399090600),
+      "blobs-2d NoBound" -> (7, 11972L, 0L, -1480251820, -1399090600),
+      "blobs-2d Dual-tree" -> (7, 11726L, 3731L, -1480251820, 1628291101),
+      "blobs-2d Hamerly" -> (7, 11040L, 0L, -1480251820, -1399090600),
+      "blobs-2d Drake" -> (7, 13761L, 0L, -1480251820, -1399090600),
+      "blobs-2d Yinyang" -> (7, 13435L, 0L, -1480251820, -1399090600),
+      "blobs-2d Elkan" -> (7, 8327L, 0L, -1480251820, -1399090600),
+      "blobs-2d NoInB" -> (7, 18439L, 3100L, -1480251820, -477424498),
+      "blobs-2d NokNN" -> (7, 12771L, 3559L, -1480251820, -477424498),
+      "blobs-2d Dask-means" -> (7, 13219L, 3559L, -1480251820, -477424498),
+      "uniform-3d Lloyd" -> (15, 150000L, 0L, 1277096196, 2022628712),
+      "uniform-3d NoBound" -> (15, 33557L, 0L, 1277096196, 2022628712),
+      "uniform-3d Dual-tree" -> (15, 109503L, 4673L, 1277096196, -371244386),
+      "uniform-3d Hamerly" -> (15, 57055L, 0L, 1277096196, 2022628712),
+      "uniform-3d Drake" -> (15, 31936L, 0L, 1277096196, 2022628712),
+      "uniform-3d Yinyang" -> (15, 41255L, 0L, 1277096196, 2022628712),
+      "uniform-3d Elkan" -> (15, 16313L, 0L, 1277096196, 2022628712),
+      "uniform-3d NoInB" -> (15, 182111L, 7L, 1277096196, 1641400210),
+      "uniform-3d NokNN" -> (15, 128395L, 2842L, 1277096196, 1641400210),
+      "uniform-3d Dask-means" -> (15, 135293L, 2842L, 1277096196, 1641400210),
+      "k-near-n Lloyd" -> (7, 33600L, 0L, 1825838049, -1261095380),
+      "k-near-n NoBound" -> (7, 10760L, 0L, 1825838049, -1261095380),
+      "k-near-n Dual-tree" -> (7, 33548L, 328L, 1825838049, 1046104948),
+      "k-near-n Hamerly" -> (7, 23447L, 0L, 1825838049, -1261095380),
+      "k-near-n Drake" -> (7, 8271L, 0L, 1825838049, -1261095380),
+      "k-near-n Yinyang" -> (7, 9520L, 0L, 1825838049, -1261095380),
+      "k-near-n Elkan" -> (7, 10639L, 0L, 1825838049, -1261095380),
+      "k-near-n NoInB" -> (7, 26049L, 272L, 1825838049, -1568294254),
+      "k-near-n NokNN" -> (7, 43746L, 545L, 1825838049, -1568294254),
+      "k-near-n Dask-means" -> (7, 25156L, 545L, 1825838049, -1568294254),
+    )
+    assert(got.map(_._1).toSet == pinned.keySet)
+    got.foreach { case (key, out) => assert(out == pinned(key), key) }
+  }
+
   test("accelerators compute no more distances than Lloyd on clusterable data") {
     val data = TestData.blobs(3000, 2, 25, 1.0, 9L)
     val k = 50

@@ -58,9 +58,10 @@ class VecSpec extends AnyFunSuite {
     }
   }
 
-  test("axpyInto scales and adds") {
-    val a = Array(1.0, 1.0); Vec.axpyInto(a, 2.0, Array(3.0, -1.0))
-    assert(a.sameElements(Array(7.0, -1.0)))
+  test("nearest takes the smallest squared distance, the lowest index on a tie") {
+    val cs = Array(Array(3.0, 0.0), Array(1.0, 1.0), Array(-1.0, 1.0), Array(0.0, 0.5))
+    assert(Vec.nearest(Array(0.0, 0.0), cs) == 3)
+    assert(Vec.nearest(Array(0.0, 2.0), cs) == 1)
   }
 
   test("scale produces a fresh scaled array") {

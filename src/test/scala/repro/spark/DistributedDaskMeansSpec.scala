@@ -81,6 +81,24 @@ class DistributedDaskMeansSpec extends SparkSpec {
     finally DistributedDaskMeans.cleanup(fitted)
   }
 
+  test("pruned vectors are counted when cluster 0 is empty in every partition") {
+    val (df, data) = fixture(4000, "Argo-AVL")
+    val init = KMeans.initCentroids(data, 15, 6L)
+    init(0) = init(0).map(_ + 1e6)
+    val fitted = DistributedDaskMeans.fit(df, 15, 6, numPartitions = 4, init = Some(init))
+    try assert(fitted.batchPrunedVectors > 0)
+    finally DistributedDaskMeans.cleanup(fitted)
+  }
+
+  test("a fit that throws drops its partition cache") {
+    val (df, data) = fixture(800, "Porto")
+    val before = PartitionIndexCache.size
+    // One dimension short: the per-partition step throws after the tree is cached.
+    val init = KMeans.initCentroids(data, 5, 7L).map(_.init)
+    intercept[Exception](DistributedDaskMeans.fit(df, 5, 3, numPartitions = 1, init = Some(init)))
+    assert(PartitionIndexCache.size == before)
+  }
+
   test("sse agrees with a serial computation") {
     val (df, data) = fixture(1000, "Shapenet")
     val k = 8
