@@ -94,8 +94,8 @@ final class DualTree(val leafCapacity: Int = 8) extends KMeansAlgo {
 
       def visit(node: BallNode): Unit = {
         val id = node.id
-        if (node.wholly && node.assignedCluster >= 0) {
-          val c = node.assignedCluster
+        val c = state.owner(node)
+        if (c >= 0) {
           nodeUb(id) = adjUb(nodeUb(id), c, nodeVer(id))
           nodeLb(id) = adjLb(nodeLb(id), nodeVer(id))
           nodeVer(id) = now
@@ -104,14 +104,14 @@ final class DualTree(val leafCapacity: Int = 8) extends KMeansAlgo {
             return // whole node keeps its assignment
           }
         }
-        val (j1, d1, d2, dA, lbExcl) = scanAll(node.pivot, if (node.wholly) node.assignedCluster else -1)
+        val (j1, d1, d2, dA, lbExcl) = scanAll(node.pivot, c)
         if (d2 - d1 > 2 * node.radius) {
           state.batchAssign(node, j1)
           nodeUb(id) = d1; nodeLb(id) = d2; nodeVer(id) = now
           pruned += node.count
           return
         }
-        if (node.wholly && node.assignedCluster >= 0) {
+        if (c >= 0) {
           // keep the marker's bounds fresh for the push-down below
           nodeUb(id) = dA; nodeLb(id) = lbExcl; nodeVer(id) = now
         }

@@ -25,15 +25,8 @@ final class Hamerly extends KMeansAlgo {
     override def assign(centroids: Array[Array[Double]], it: Int, drifts: Array[Double]): Long = {
       /** Full scan of point i: set a, u (closest) and l (second closest). */
       def fullScan(i: Int): Unit = {
-        var best = -1; var d1 = Double.PositiveInfinity; var d2 = Double.PositiveInfinity
-        var j = 0
-        while (j < k) {
-          val t = counter.dist(data(i), centroids(j))
-          if (t < d1) { d2 = d1; d1 = t; best = j }
-          else if (t < d2) { d2 = t }
-          j += 1
-        }
-        a(i) = best; u(i) = d1; l(i) = d2
+        val b = counter.nearest2(data(i), centroids)
+        a(i) = b.i1; u(i) = b.d1; l(i) = b.d2
       }
 
       // Loosen the bounds by the last refine's drifts.
@@ -44,19 +37,8 @@ final class Hamerly extends KMeansAlgo {
       }
 
       // s(j): half the distance to the nearest other centroid.
-      if (k > 1) {
-        var j = 0
-        while (j < k) {
-          var best = Double.PositiveInfinity
-          var j2 = 0
-          while (j2 < k) {
-            if (j2 != j) { val t = counter.dist(centroids(j), centroids(j2)); if (t < best) best = t }
-            j2 += 1
-          }
-          s(j) = best / 2
-          j += 1
-        }
-      }
+      var j = 0
+      while (j < k) { s(j) = counter.nearest2(centroids(j), centroids, skip = j).d2 / 2; j += 1 }
 
       var i = 0
       while (i < n) {

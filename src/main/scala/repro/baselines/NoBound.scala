@@ -31,14 +31,8 @@ final class NoBound extends KMeansAlgo {
         // Full assignment (the costly init the paper reports).
         var i = 0
         while (i < n) {
-          var best = -1; var bestD = Double.PositiveInfinity
-          var j = 0
-          while (j < k) {
-            val t = counter.dist(data(i), centroids(j))
-            if (t < bestD) { bestD = t; best = j }
-            j += 1
-          }
-          a(i) = best; dToOwn(i) = bestD
+          val b = counter.nearest2(data(i), centroids)
+          a(i) = b.i1; dToOwn(i) = b.d1
           i += 1
         }
       } else {

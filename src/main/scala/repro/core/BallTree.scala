@@ -7,12 +7,9 @@ package repro.core
   * running sum of covered vectors (so a whole node can be moved between
   * clusters in O(d), see §IV-B "dynamic sum vector").
   *
-  * `assignedCluster`/`wholly` implement the lazily-pushed-down batch
-  * assignment marker used by [[DaskMeans]]: `wholly == true` means the whole
-  * subtree currently belongs to cluster `assignedCluster` (−1 ⇒ not yet
-  * assigned). Markers are pushed to children only when a traversal descends
-  * past the node, keeping per-iteration bookkeeping proportional to the
-  * assignment frontier rather than to `|N|`.
+  * Nodes are immutable, so one tree can serve any number of runs at once;
+  * each run keeps its cluster markers in a side array indexed by `id`
+  * ([[TreeAssignmentState]]).
   *
   * @param id      preorder index, unique within one tree (for side arrays)
   * @param pivot   mean of all covered vectors
@@ -33,17 +30,7 @@ final class BallNode(
     val right: BallNode,
     val points: Array[Int],
 ) {
-  var assignedCluster: Int = -1
-  var wholly: Boolean = true
-
   def isLeaf: Boolean = left == null
-
-  /** Reset assignment markers (fresh clustering run over a cached tree). */
-  def resetAssignment(): Unit = {
-    assignedCluster = -1
-    wholly = true
-    if (!isLeaf) { left.resetAssignment(); right.resetAssignment() }
-  }
 }
 
 /** Structural summary of a tree — used as cost-estimator meta-features and

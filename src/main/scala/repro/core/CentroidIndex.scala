@@ -15,20 +15,6 @@ final class CentroidIndex(
 ) {
   val built: BallTree.Built = BallTree.build(centroids, math.max(2, leafCapacity))
 
-  /** Fixed-size-2 result queue: ids and distances of the best candidates,
-    * d1 ≤ d2; slots start at the initial upper bound with id −1.
-    */
-  final class Best2(ub: Double) {
-    var i1: Int = -1; var d1: Double = ub
-    var i2: Int = -1; var d2: Double = ub
-
-    def insert(i: Int, d: Double): Unit = {
-      if (i == i1 || i == i2) return
-      if (d < d1) { i2 = i1; d2 = d1; i1 = i; d1 = d }
-      else if (d < d2) { i2 = i; d2 = d }
-    }
-  }
-
   private def search(b: Best2, want: Int, q: Array[Double], node: BallNode): Unit = {
     @inline def threshold: Double = if (want == 1) b.d1 else b.d2
     if (node.isLeaf) {

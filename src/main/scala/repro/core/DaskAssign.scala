@@ -31,34 +31,6 @@ object DaskAssign {
       return state.tree.root.count.toLong
     }
 
-    def nearest1(q: Array[Double], ub: Double, seedId: Int, seedDist: Double): (Int, Double) =
-      if (index != null) index.nn1(q, ub, seedId, seedDist)
-      else {
-        var bi = if (seedId >= 0) seedId else -1
-        var bd = if (seedId >= 0) seedDist else Double.PositiveInfinity
-        var j = 0
-        while (j < k) {
-          if (j != seedId) { val t = counter.dist(q, centroids(j)); if (t < bd) { bd = t; bi = j } }
-          j += 1
-        }
-        (bi, bd)
-      }
-
-    def nearest2(q: Array[Double], ub: Double, seedId: Int, seedDist: Double): (Int, Double, Int, Double) =
-      if (index != null) { val b = index.nn2(q, ub, seedId, seedDist); (b.i1, b.d1, b.i2, b.d2) }
-      else {
-        var i1 = -1; var d1 = Double.PositiveInfinity
-        var i2 = -1; var d2 = Double.PositiveInfinity
-        var j = 0
-        while (j < k) {
-          val t = if (j == seedId) seedDist else counter.dist(q, centroids(j))
-          if (t < d1) { i2 = i1; d2 = d1; i1 = j; d1 = t }
-          else if (t < d2) { i2 = j; d2 = t }
-          j += 1
-        }
-        (i1, d1, i2, d2)
-      }
-
     def assignPoint(p: Int, ub: Double): Unit = {
       val prev = state.assignments(p)
       var seedDist = -1.0
@@ -66,12 +38,14 @@ object DaskAssign {
         seedDist = counter.dist(data(p), centroids(prev))
         if (cb != null && seedDist < cb(prev) / 2) { pruned += 1; return } // Eq. 4
       }
-      val (n1, _) = nearest1(data(p), ub, prev, seedDist)
+      val n1 =
+        if (index != null) index.nn1(data(p), ub, prev, seedDist)._1
+        else counter.nearest2(data(p), centroids, prev, seedDist).i1
       state.assignPoint(p, n1)
     }
 
     def assignNode(node: BallNode, ub: Double): Unit = {
-      val prev = if (node.wholly) node.assignedCluster else -1
+      val prev = state.owner(node)
       var seedDist = -1.0
       if (prev >= 0) {
         seedDist = counter.dist(node.pivot, centroids(prev))
@@ -80,17 +54,19 @@ object DaskAssign {
           return
         }
       }
-      val (n1, d1, _, d2) = nearest2(node.pivot, ub, prev, seedDist)
-      if (d2 - d1 > 2 * node.radius) { // Eq. 6
-        state.batchAssign(node, n1)
+      val b =
+        if (index != null) index.nn2(node.pivot, ub, prev, seedDist)
+        else counter.nearest2(node.pivot, centroids, prev, seedDist)
+      if (b.d2 - b.d1 > 2 * node.radius) { // Eq. 6
+        state.batchAssign(node, b.i1)
         pruned += node.count
       } else if (node.isLeaf) {
         state.pushDown(node)()
         var i = 0
-        while (i < node.points.length) { assignPoint(node.points(i), d1 + node.radius); i += 1 }
+        while (i < node.points.length) { assignPoint(node.points(i), b.d1 + node.radius); i += 1 }
       } else {
         state.pushDown(node)()
-        val childUb = d2 + node.radius // Eq. 7: inherited bound
+        val childUb = b.d2 + node.radius // Eq. 7: inherited bound
         assignNode(node.left, childUb)
         assignNode(node.right, childUb)
       }
@@ -115,26 +91,16 @@ object DaskAssign {
     val k = centroids.length
     val cb = new Array[Double](k)
     if (k == 1) { cb(0) = Double.PositiveInfinity; return cb }
-    if (index != null) {
-      val maxDrift = KMeans.maxDrift(drifts)
-      var j = 0
-      while (j < k) {
-        val ub = if (first) Double.PositiveInfinity else prevCb(j) + drifts(j) + maxDrift // Eq. 9
-        cb(j) = index.nn2(centroids(j), ub, seedId = j, seedDist = 0.0).d2
-        j += 1
-      }
-    } else {
-      var j = 0
-      while (j < k) {
-        var best = Double.PositiveInfinity
-        var j2 = 0
-        while (j2 < k) {
-          if (j2 != j) { val t = counter.dist(centroids(j), centroids(j2)); if (t < best) best = t }
-          j2 += 1
+    val maxDrift = KMeans.maxDrift(drifts)
+    var j = 0
+    while (j < k) {
+      cb(j) =
+        if (index == null) counter.nearest2(centroids(j), centroids, skip = j).d2
+        else {
+          val ub = if (first) Double.PositiveInfinity else prevCb(j) + drifts(j) + maxDrift // Eq. 9
+          index.nn2(centroids(j), ub, seedId = j, seedDist = 0.0).d2
         }
-        cb(j) = best
-        j += 1
-      }
+      j += 1
     }
     cb
   }

@@ -37,11 +37,12 @@ final class DaskMeans(
     prebuilt: Option[BallTree.Built] = None,
 ) extends KMeansAlgo {
 
+  require(useKnn || useInterBound, "Dask-means needs the centroid index, the inter bounds, or both")
+
   override def name: String =
-    if (useKnn && useInterBound) "Dask-means"
-    else if (useKnn) "NoInB"
-    else if (useInterBound) "NokNN"
-    else "IndexOnly"
+    if (!useKnn) "NokNN"
+    else if (useInterBound) "Dask-means"
+    else "NoInB"
 
   override def extraMemoryFloats(n: Long, k: Long, d: Long): Long =
     MemoryEstimator.daskMeansExtraFloats(n, k, d, leafCapacity)

@@ -4,10 +4,12 @@ package repro.core
   * [[DaskMeans]] and the Dual-tree baseline.
   *
   * Maintains per-cluster counts and dynamic sum vectors (§IV-B) while whole
-  * nodes move between clusters in O(d): a node's `wholly` marker means its
-  * entire subtree is in `assignedCluster`; markers are pushed one level down
-  * only when a traversal descends past the node, so per-iteration cost is
-  * proportional to the assignment frontier.
+  * nodes move between clusters in O(d): a node's marker `c ≥ 0` means its
+  * entire subtree is in cluster `c`, −1 that it is not (split, or not yet
+  * assigned). Markers are pushed one level down only when a traversal
+  * descends past the node, so per-iteration cost is proportional to the
+  * assignment frontier. The markers belong to this state, not to the tree,
+  * so several states can share one tree.
   */
 final class TreeAssignmentState(
     val data: Array[Array[Double]],
@@ -18,19 +20,20 @@ final class TreeAssignmentState(
   val assignments: Array[Int] = Array.fill(data.length)(-1)
   val counts: Array[Long] = new Array[Long](k)
   val sums: Array[Array[Double]] = Array.fill(k)(new Array[Double](d))
+  private val owners: Array[Int] = Array.fill(tree.nodeCount)(-1)
 
-  tree.root.resetAssignment()
+  /** The cluster that holds the whole subtree of `node`, or −1. */
+  def owner(node: BallNode): Int = owners(node.id)
 
   /** Subtract every member of `node` from its current cluster. */
   def removeFromClusters(node: BallNode): Unit = {
-    if (node.wholly) {
-      val c = node.assignedCluster
-      if (c >= 0) { counts(c) -= node.count; Vec.subInto(sums(c), node.sum) }
-    } else if (node.isLeaf) {
+    val c = owners(node.id)
+    if (c >= 0) { counts(c) -= node.count; Vec.subInto(sums(c), node.sum) }
+    else if (node.isLeaf) {
       var i = 0
       while (i < node.points.length) {
-        val p = node.points(i); val c = assignments(p)
-        if (c >= 0) { counts(c) -= 1; Vec.subInto(sums(c), data(p)) }
+        val p = node.points(i); val a = assignments(p)
+        if (a >= 0) { counts(a) -= 1; Vec.subInto(sums(a), data(p)) }
         i += 1
       }
     } else { removeFromClusters(node.left); removeFromClusters(node.right) }
@@ -40,35 +43,32 @@ final class TreeAssignmentState(
     * Returns true when a move actually happened.
     */
   def batchAssign(node: BallNode, c: Int): Boolean = {
-    if (node.wholly && node.assignedCluster == c) return false
+    if (owners(node.id) == c) return false
     removeFromClusters(node)
     counts(c) += node.count; Vec.addInto(sums(c), node.sum)
-    node.assignedCluster = c; node.wholly = true
+    owners(node.id) = c
     true
   }
 
-  /** Push a wholly marker one level down before descending; `onPoint` /
+  /** Push a whole-subtree marker one level down before descending; `onPoint` /
     * `onChild` let the caller refresh its own per-point / per-node side
     * state (e.g. Dual-tree bounds) for freshly materialised assignments.
     */
   def pushDown(node: BallNode)(onPoint: Int => Unit = _ => (), onChild: BallNode => Unit = _ => ()): Unit = {
-    if (!node.wholly) return
+    val c = owners(node.id)
+    if (c < 0) return
     if (node.isLeaf) {
       var i = 0
       while (i < node.points.length) {
         val p = node.points(i)
-        if (assignments(p) != node.assignedCluster) { assignments(p) = node.assignedCluster; onPoint(p) }
+        if (assignments(p) != c) { assignments(p) = c; onPoint(p) }
         i += 1
       }
     } else {
-      if (node.left.assignedCluster != node.assignedCluster || !node.left.wholly) {
-        node.left.assignedCluster = node.assignedCluster; node.left.wholly = true; onChild(node.left)
-      }
-      if (node.right.assignedCluster != node.assignedCluster || !node.right.wholly) {
-        node.right.assignedCluster = node.assignedCluster; node.right.wholly = true; onChild(node.right)
-      }
+      if (owners(node.left.id) != c) { owners(node.left.id) = c; onChild(node.left) }
+      if (owners(node.right.id) != c) { owners(node.right.id) = c; onChild(node.right) }
     }
-    node.wholly = false
+    owners(node.id) = -1
   }
 
   /** Move a single point (leaf must have been pushed down first). */
@@ -81,13 +81,13 @@ final class TreeAssignmentState(
     true
   }
 
-  /** Resolve outstanding wholly markers into the per-point array. */
+  /** Resolve outstanding whole-subtree markers into the per-point array. */
   def materialize(): Array[Int] = {
     def setAll(node: BallNode, c: Int): Unit =
       if (node.isLeaf) { var i = 0; while (i < node.points.length) { assignments(node.points(i)) = c; i += 1 } }
       else { setAll(node.left, c); setAll(node.right, c) }
     def walk(node: BallNode): Unit =
-      if (node.wholly) setAll(node, node.assignedCluster)
+      if (owners(node.id) >= 0) setAll(node, owners(node.id))
       else if (!node.isLeaf) { walk(node.left); walk(node.right) }
     walk(tree.root)
     assignments

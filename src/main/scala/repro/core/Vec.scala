@@ -64,4 +64,29 @@ final class DistanceCounter {
   def dist(a: Array[Double], b: Array[Double]): Double = { count += 1; Vec.dist(a, b) }
 
   def dist2(a: Array[Double], b: Array[Double]): Double = { count += 1; Vec.dist2(a, b) }
+
+  /** The two nearest of `cs` to `q` by distance, scanned in id order with
+    * strict `<`, so the lowest id wins a tie. Centroid `skip` is taken at
+    * the already known `skipDist` and not counted.
+    */
+  def nearest2(q: Array[Double], cs: Array[Array[Double]], skip: Int = -1, skipDist: Double = 0.0): Best2 = {
+    val b = new Best2(Double.PositiveInfinity)
+    var j = 0
+    while (j < cs.length) { b.insert(j, if (j == skip) skipDist else dist(q, cs(j))); j += 1 }
+    b
+  }
+}
+
+/** Fixed-size-2 result queue: ids and distances of the best candidates,
+  * d1 ≤ d2; slots start at the initial upper bound with id −1.
+  */
+final class Best2(ub: Double) {
+  var i1: Int = -1; var d1: Double = ub
+  var i2: Int = -1; var d2: Double = ub
+
+  def insert(i: Int, d: Double): Unit = {
+    if (i == i1 || i == i2) return
+    if (d < d1) { i2 = i1; d2 = d1; i1 = i; d1 = d }
+    else if (d < d2) { i2 = i; d2 = d }
+  }
 }

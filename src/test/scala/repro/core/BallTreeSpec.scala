@@ -101,19 +101,6 @@ class BallTreeSpec extends AnyFunSuite {
     assert(a.nodeCount == b.nodeCount)
   }
 
-  test("resetAssignment restores the virgin marker state") {
-    val data = randomData(100, 2, 10)
-    val t = BallTree.build(data, 8)
-    t.root.assignedCluster = 5; t.root.wholly = false
-    t.root.left.assignedCluster = 2
-    t.root.resetAssignment()
-    def check(n: BallNode): Unit = {
-      assert(n.assignedCluster == -1 && n.wholly)
-      if (!n.isLeaf) { check(n.left); check(n.right) }
-    }
-    check(t.root)
-  }
-
   test("leaf capacity below 2 is rejected") {
     intercept[IllegalArgumentException](BallTree.build(randomData(10, 2, 11), 1))
   }

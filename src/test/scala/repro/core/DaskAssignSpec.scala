@@ -72,6 +72,41 @@ class DaskAssignSpec extends AnyFunSuite {
     assert(state.materialize().sameElements(bruteAssign(data, cs)))
   }
 
+  test("NokNN takes the lowest id on a tie, as Vec.nearest does") {
+    val data = Array(Array(1.0, 0.0), Array(1.0, 1.0), Array(1.0, -1.0))
+    val state = new TreeAssignmentState(data, BallTree.build(data, 2), 2)
+    val counter = new DistanceCounter
+    DaskAssign.step(state, Array(Array(-10.0, 0.0), Array(1.0, 0.0)), null, null, counter)
+    assert(state.materialize().forall(_ == 1))
+    val tied = Array(Array(0.0, 0.0), Array(2.0, 0.0)) // every point is equidistant from both
+    DaskAssign.step(state, tied, null, null, counter)
+    assert(state.materialize().sameElements(data.map(Vec.nearest(_, tied))))
+  }
+
+  test("a second state on the same tree does not disturb a run in progress") {
+    val data = TestData.blobs(600, 2, 6, 3.0, 9)
+    val tree = BallTree.build(data, 16)
+    def iterate(state: TreeAssignmentState, from: Array[Array[Double]], iters: Int): Array[Array[Double]] = {
+      var cs = from
+      (1 to iters).foreach { _ =>
+        val counter = new DistanceCounter
+        DaskAssign.step(state, cs, null, new CentroidIndex(cs, 16, counter), counter)
+        cs = state.refine(cs, new Array[Double](cs.length))
+      }
+      cs
+    }
+    def bits(cs: Array[Array[Double]]) = cs.toSeq.map(_.toSeq.map(java.lang.Double.doubleToLongBits))
+    val init = KMeans.initCentroids(data, 9, 9)
+    val solo = new TreeAssignmentState(data, tree, 9)
+    val soloCs = iterate(solo, init, 6)
+    val a = new TreeAssignmentState(data, tree, 9)
+    val mid = iterate(a, init, 3)
+    iterate(new TreeAssignmentState(data, tree, 9), KMeans.initCentroids(data, 9, 10), 1)
+    val aCs = iterate(a, mid, 3)
+    assert(bits(aCs) == bits(soloCs))
+    assert(a.materialize().sameElements(solo.materialize()))
+  }
+
   test("k=1 short-circuits to a single batch assignment") {
     val (data, state, _) = fixture(200, 1, 6)
     val counter = new DistanceCounter

@@ -126,6 +126,10 @@ class DaskMeansSpec extends AnyFunSuite {
     assert(new DaskMeans(useKnn = false).name == "NokNN")
   }
 
+  test("turning off both the centroid index and the inter bounds is rejected") {
+    intercept[IllegalArgumentException](new DaskMeans(useKnn = false, useInterBound = false))
+  }
+
   test("memory accounting follows Eq. 11") {
     val dm = new DaskMeans(leafCapacity = 30)
     val got = dm.extraMemoryFloats(100000, 1000, 3)

@@ -48,8 +48,8 @@ class TreeAssignmentStateSpec extends AnyFunSuite {
     val (data, st) = freshState(300, 5, 3)
     st.batchAssign(st.tree.root, 0)
     st.pushDown(st.tree.root)()
-    assert(!st.tree.root.wholly)
-    assert(st.tree.root.left.wholly && st.tree.root.left.assignedCluster == 0)
+    assert(st.owner(st.tree.root) == -1)
+    assert(st.owner(st.tree.root.left) == 0)
     assert(st.counts(0) == 300)
     checkConsistency(data, st)
   }

@@ -64,6 +64,20 @@ class VecSpec extends AnyFunSuite {
     assert(Vec.nearest(Array(0.0, 2.0), cs) == 1)
   }
 
+  test("nearest2 takes the lowest id on a tie and does not count the skipped centroid") {
+    val cs = Array(Array(3.0, 0.0), Array(0.0, 1.0), Array(1.0, 0.0), Array(0.0, -1.0), Array(-1.0, 0.0))
+    val c = new DistanceCounter
+    val b = c.nearest2(Array(0.0, 0.0), cs)
+    assert(b.i1 == 1 && b.d1 == 1.0 && b.i2 == 2 && b.d2 == 1.0 && c.count == 5)
+    val s = new DistanceCounter
+    val bs = s.nearest2(Array(0.0, 0.0), cs, skip = 3, skipDist = 0.5)
+    assert(bs.i1 == 3 && bs.d1 == 0.5 && bs.i2 == 1 && bs.d2 == 1.0 && s.count == cs.length - 1)
+    val self = new DistanceCounter
+    val bself = self.nearest2(cs(2), cs, skip = 2)
+    assert(bself.i1 == 2 && bself.d1 == 0.0 && self.count == cs.length - 1)
+    assert(bself.i2 == 1 && bself.d2 == Vec.dist(cs(2), cs(1)), "self-skip gives the nearest-other distance")
+  }
+
   test("scale produces a fresh scaled array") {
     val a = Array(2.0, 4.0)
     val s = Vec.scale(a, 0.5)
