@@ -49,11 +49,16 @@ object PartitionIndexCache {
   */
 object DistributedDaskMeans {
 
+  /** `counts`: cluster sizes at the last assignment phase; `numPartitions`:
+    * the partition count the run's cache is keyed by.
+    */
   final case class FitResult(
       centroids: Array[Array[Double]],
       iterations: Int,
       runId: String,
       batchPrunedVectors: Long,
+      counts: Array[Long],
+      numPartitions: Int,
   )
 
   /** Deterministic initial centroids: the k rows with the smallest hashed
@@ -80,6 +85,7 @@ object DistributedDaskMeans {
       seed: Long = 42L,
       init: Option[Array[Array[Double]]] = None,
   ): FitResult = {
+    require(maxIters >= 1, "need at least one iteration")
     val spark = df.sparkSession
     val parts = if (numPartitions > 0) numPartitions else spark.sparkContext.defaultParallelism
     val pts = df.select("id", "features").repartition(parts, col("id")).persist()
@@ -90,11 +96,11 @@ object DistributedDaskMeans {
     require(start.length == k, s"need k=$k distinct initial centroids, got ${start.length}")
     val d = start(0).length
     val driverCounter = new DistanceCounter
+    var counts: Array[Long] = null
 
     val run = new KMeansRun {
       private var cb = new Array[Double](k)
       private var sums: Array[Array[Double]] = null
-      private var counts: Array[Long] = null
 
       override def assign(centroids: Array[Array[Double]], it: Int, drifts: Array[Double]): Long = {
         // Driver-side inter bounds over a centroid index (k is small).
@@ -122,7 +128,7 @@ object DistributedDaskMeans {
 
     try {
       val out = KMeans.iterate(start, maxIters, run)
-      FitResult(out.centroids, out.iterations, runId, out.pruned)
+      FitResult(out.centroids, out.iterations, runId, out.pruned, counts, parts)
     } catch {
       case t: Throwable => PartitionIndexCache.drop(runId); throw t
     } finally pts.unpersist()
@@ -167,17 +173,16 @@ object DistributedDaskMeans {
   }
 
   /** Final per-point assignments of a finished run as a DataFrame
-    * `(id, cluster)`; requires the run's cached partition state (call
-    * before [[cleanup]]). Falls back to a broadcast nearest-centroid pass
-    * for partitions whose cache entry is gone.
+    * `(id, cluster)`, partitioned as the run was; requires the run's cached
+    * partition state (call before [[cleanup]]). Falls back to a broadcast
+    * nearest-centroid pass for partitions whose cache entry is gone.
     */
-  def assignments(df: DataFrame, fitted: FitResult, leafCapacity: Int = 30, numPartitions: Int = 0): DataFrame = {
+  def assignments(df: DataFrame, fitted: FitResult, leafCapacity: Int = 30): DataFrame = {
     val spark = df.sparkSession
-    val parts = if (numPartitions > 0) numPartitions else spark.sparkContext.defaultParallelism
     val bc = spark.sparkContext.broadcast(fitted.centroids)
     import spark.implicits._
     df.select("id", "features")
-      .repartition(parts, col("id"))
+      .repartition(fitted.numPartitions, col("id"))
       .mapPartitions { rows =>
         val pid = TaskContext.getPartitionId()
         PartitionIndexCache.get(fitted.runId, pid) match {

@@ -1,6 +1,6 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 
 /** The paper's motivating task: simplify a large spatial-vector dataset
   * into k evenly distributed representatives (Fig. 1) — run Dask-means and
@@ -10,7 +10,8 @@ object Simplify {
 
   /** Returns `(cluster, features, weight)` with one row per representative.
     * `weight` is the number of original vectors the representative stands
-    * for (so downstream learning can resample proportionally).
+    * for (so downstream learning can resample proportionally): its members
+    * at the fit's last assignment phase.
     */
   def simplify(
       df: DataFrame,
@@ -19,17 +20,10 @@ object Simplify {
       leafCapacity: Int = 30,
       seed: Long = 42L,
   ): DataFrame = {
-    val spark = df.sparkSession
     val fitted = DistributedDaskMeans.fit(df, k, maxIters, leafCapacity, seed = seed)
-    try {
-      val assigned = DistributedDaskMeans.assignments(df, fitted, leafCapacity)
-      import spark.implicits._
-      val weights = assigned.groupBy("cluster").count().as[(Int, Long)].collect().toMap
-      val rows = fitted.centroids.zipWithIndex.map { case (c, j) =>
-        (j, c.toSeq, weights.getOrElse(j, 0L))
-      }
-      spark.createDataFrame(rows.toSeq).toDF("cluster", "features", "weight")
-    } finally DistributedDaskMeans.cleanup(fitted)
+    DistributedDaskMeans.cleanup(fitted)
+    val rows = fitted.centroids.indices.map(j => (j, fitted.centroids(j).toSeq, fitted.counts(j)))
+    df.sparkSession.createDataFrame(rows).toDF("cluster", "features", "weight")
   }
 
   /** Random-sampling simplification — the paper's Fig. 1 strawman, used in

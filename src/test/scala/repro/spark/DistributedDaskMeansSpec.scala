@@ -46,7 +46,7 @@ class DistributedDaskMeansSpec extends SparkSpec {
     val init = KMeans.initCentroids(data, k, 3L)
     val fitted = DistributedDaskMeans.fit(df, k, 5, numPartitions = 4, init = Some(init))
     try {
-      val assigned = DistributedDaskMeans.assignments(df, fitted, numPartitions = 4)
+      val assigned = DistributedDaskMeans.assignments(df, fitted)
         .collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
       assert(assigned.size == 1500)
       // spot check a sample against brute force on the final centroids
@@ -54,6 +54,33 @@ class DistributedDaskMeansSpec extends SparkSpec {
       val mismatches = data.indices.count(i => assigned(i.toLong) != ref.assignments(i))
       assert(mismatches == 0, s"$mismatches mismatched assignments")
     } finally DistributedDaskMeans.cleanup(fitted)
+  }
+
+  test("assignments use the fit's partition count and the last assignment phase") {
+    val (df, data) = fixture(1500, "Argo-PC")
+    val k = 10
+    val init = KMeans.initCentroids(data, k, 8L)
+    val fitted = DistributedDaskMeans.fit(df, k, 3, numPartitions = 3, init = Some(init))
+    try {
+      val ref = new Lloyd().run(data, k, 3, init)
+      // Not converged: the final centroids would move some vectors.
+      assert(data.indices.exists(i => Vec.nearest(data(i), ref.centroids) != ref.assignments(i)))
+      val assigned = DistributedDaskMeans.assignments(df, fitted)
+        .collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
+      val mismatches = data.indices.count(i => assigned(i.toLong) != ref.assignments(i))
+      assert(mismatches == 0, s"$mismatches mismatched assignments")
+      val sizes = new Array[Long](k)
+      ref.assignments.foreach(a => sizes(a) += 1)
+      assert(fitted.counts.sameElements(sizes))
+    } finally DistributedDaskMeans.cleanup(fitted)
+  }
+
+  test("fit rejects maxIters < 1 before building any partition state") {
+    val (df, _) = fixture(300, "Porto")
+    val before = PartitionIndexCache.size
+    val e = intercept[IllegalArgumentException](DistributedDaskMeans.fit(df, 5, 0, numPartitions = 2))
+    assert(e.getMessage.contains("need at least one iteration"))
+    assert(PartitionIndexCache.size == before)
   }
 
   test("cleanup drops the partition cache") {

@@ -1,6 +1,7 @@
 package repro.spark
 
 import repro.SparkSpec
+import repro.baselines.Lloyd
 import repro.core.Vec
 import repro.spatial.SpatialData
 
@@ -12,6 +13,28 @@ class SimplifySpec extends SparkSpec {
     assert(out.length == 25)
     assert(out.map(_.getLong(2)).sum == 2000)
     out.foreach(r => assert(r.getSeq[Double](1).size == 3))
+  }
+
+  test("weights are the serial cluster sizes at the last assignment phase") {
+    val df = SpatialData.dataset(spark, "Argo-PC", 2000)
+    val data = SpatialData.collectPoints(df)
+    val (k, maxIters) = (25, 3)
+    val init = DistributedDaskMeans.initialCentroids(df, k, 42L)
+    val ref = new Lloyd().run(data, k, maxIters, init)
+    // Not converged: the final centroids would move some vectors.
+    assert(data.indices.exists(i => Vec.nearest(data(i), ref.centroids) != ref.assignments(i)))
+    val before = PartitionIndexCache.size
+    val out = Simplify.simplify(df, k, maxIters).collect()
+    assert(PartitionIndexCache.size == before)
+    val sizes = new Array[Long](k)
+    ref.assignments.foreach(a => sizes(a) += 1)
+    assert(out.map(_.getInt(0)).sameElements(0 until k))
+    assert(out.map(_.getLong(2)).sameElements(sizes))
+    out.foreach { r =>
+      val (got, want) = (r.getSeq[Double](1), ref.centroids(r.getInt(0)))
+      assert(got.indices.forall(c => math.abs(got(c) - want(c)) <= 1e-9 * math.max(1.0, math.abs(want(c)))),
+        s"centroid ${r.getInt(0)}")
+    }
   }
 
   test("randomSample returns k rows deterministically") {
