@@ -60,25 +60,6 @@ final class DualTree(val leafCapacity: Int = 8) extends KMeansAlgo {
       def adjUb(ub: Double, c: Int, ver: Int): Double = ub + (cum(now)(c) - cum(ver)(c))
       def adjLb(lb: Double, ver: Int): Double = lb - (cumMax(now) - cumMax(ver))
 
-      /** Scan all k centroids from q. Returns (j1, d1, d2, dAssigned,
-        * lbExcludingAssigned) where `assigned` may be −1.
-        */
-      def scanAll(q: Array[Double], assigned: Int): (Int, Double, Double, Double, Double) = {
-        var j1 = -1; var d1 = Double.PositiveInfinity; var d2 = Double.PositiveInfinity
-        var dA = Double.PositiveInfinity
-        var minExcl = Double.PositiveInfinity
-        var j = 0
-        while (j < k) {
-          val t = counter.dist(q, centroids(j))
-          if (j == assigned) dA = t
-          else if (t < minExcl) minExcl = t
-          if (t < d1) { d2 = d1; d1 = t; j1 = j }
-          else if (t < d2) d2 = t
-          j += 1
-        }
-        (j1, d1, d2, dA, minExcl)
-      }
-
       def visitLeafPoint(p: Int, node: BallNode): Unit = {
         val a0 = state.assignments(p)
         if (a0 >= 0) {
@@ -87,9 +68,9 @@ final class DualTree(val leafCapacity: Int = 8) extends KMeansAlgo {
           u(p) = counter.dist(data(p), centroids(a0)) // tighten
           if (u(p) <= l(p)) { pruned += 1; return }
         }
-        val (j1, d1, d2, _, _) = scanAll(data(p), -1)
-        state.assignPoint(p, j1)
-        u(p) = d1; l(p) = d2; pVer(p) = now
+        val b = counter.nearest2(data(p), centroids)
+        state.assignPoint(p, b.i1)
+        u(p) = b.d1; l(p) = b.d2; pVer(p) = now
       }
 
       def visit(node: BallNode): Unit = {
@@ -104,16 +85,17 @@ final class DualTree(val leafCapacity: Int = 8) extends KMeansAlgo {
             return // whole node keeps its assignment
           }
         }
-        val (j1, d1, d2, dA, lbExcl) = scanAll(node.pivot, c)
-        if (d2 - d1 > 2 * node.radius) {
-          state.batchAssign(node, j1)
-          nodeUb(id) = d1; nodeLb(id) = d2; nodeVer(id) = now
+        val dA = if (c >= 0) counter.dist(node.pivot, centroids(c)) else 0.0
+        val b = counter.nearest2(node.pivot, centroids, c, dA)
+        if (b.d2 - b.d1 > 2 * node.radius) {
+          state.batchAssign(node, b.i1)
+          nodeUb(id) = b.d1; nodeLb(id) = b.d2; nodeVer(id) = now
           pruned += node.count
           return
         }
         if (c >= 0) {
           // keep the marker's bounds fresh for the push-down below
-          nodeUb(id) = dA; nodeLb(id) = lbExcl; nodeVer(id) = now
+          nodeUb(id) = dA; nodeLb(id) = if (b.i1 == c) b.d2 else b.d1; nodeVer(id) = now
         }
         if (node.isLeaf) {
           state.pushDown(node)(onPoint = p => {

@@ -26,36 +26,26 @@ final class CentroidIndex(
         i += 1
       }
     } else {
+      def visit(child: BallNode, d: Double): Unit = if (d - child.radius < threshold) search(b, want, q, child)
       val dl = counter.dist(q, node.left.pivot)
       val dr = counter.dist(q, node.right.pivot)
-      val (first, dFirst, second, dSecond) =
-        if (dl <= dr) (node.left, dl, node.right, dr) else (node.right, dr, node.left, dl)
-      if (dFirst - first.radius < threshold) search(b, want, q, first)
-      if (dSecond - second.radius < threshold) search(b, want, q, second)
+      if (dl <= dr) { visit(node.left, dl); visit(node.right, dr) }
+      else { visit(node.right, dr); visit(node.left, dl) }
     }
   }
 
-  /** Nearest centroid of q; `ub` must upper-bound the true 1-NN distance
-    * (falls back to an unbounded search if it turned out not to).
-    * `seedId`/`seedDist` optionally pre-populate the queue with an already
-    * computed candidate.
+  /** The `want` ∈ {1, 2} nearest centroids of q. `ub` must upper-bound the
+    * true `want`-NN distance; if it turns out not to, the search runs again
+    * with an infinite bound and without the seed. `seedId`/`seedDist`
+    * optionally pre-populate the queue with an already computed candidate.
+    * With `want` = 1 only `i1`/`d1` are meaningful. With `want` = 2 and
+    * k = 1 the queue never fills, so the result has `i2` = −1, `d2` = ∞.
     */
-  def nn1(q: Array[Double], ub: Double, seedId: Int = -1, seedDist: Double = 0.0): (Int, Double) = {
-    var b = new Best2(ub)
+  def nearest(q: Array[Double], want: Int, ub: Double, seedId: Int = -1, seedDist: Double = 0.0): Best2 = {
+    val b = new Best2(ub)
     if (seedId >= 0 && seedDist < ub) b.insert(seedId, seedDist)
-    search(b, 1, q, built.root)
-    if (b.i1 < 0) { b = new Best2(Double.PositiveInfinity); search(b, 1, q, built.root) }
-    (b.i1, b.d1)
-  }
-
-  /** Two nearest centroids of q; `ub` must upper-bound the true 2-NN
-    * distance. Requires k ≥ 2.
-    */
-  def nn2(q: Array[Double], ub: Double, seedId: Int = -1, seedDist: Double = 0.0): Best2 = {
-    var b = new Best2(ub)
-    if (seedId >= 0 && seedDist < ub) b.insert(seedId, seedDist)
-    search(b, 2, q, built.root)
-    if (b.i1 < 0 || b.i2 < 0) { b = new Best2(Double.PositiveInfinity); search(b, 2, q, built.root) }
-    b
+    search(b, want, q, built.root)
+    if ((if (want == 1) b.i1 else b.i2) >= 0) b
+    else { val all = new Best2(Double.PositiveInfinity); search(all, want, q, built.root); all }
   }
 }

@@ -39,7 +39,7 @@ object DaskAssign {
         if (cb != null && seedDist < cb(prev) / 2) { pruned += 1; return } // Eq. 4
       }
       val n1 =
-        if (index != null) index.nn1(data(p), ub, prev, seedDist)._1
+        if (index != null) index.nearest(data(p), 1, ub, prev, seedDist).i1
         else counter.nearest2(data(p), centroids, prev, seedDist).i1
       state.assignPoint(p, n1)
     }
@@ -55,7 +55,7 @@ object DaskAssign {
         }
       }
       val b =
-        if (index != null) index.nn2(node.pivot, ub, prev, seedDist)
+        if (index != null) index.nearest(node.pivot, 2, ub, prev, seedDist)
         else counter.nearest2(node.pivot, centroids, prev, seedDist)
       if (b.d2 - b.d1 > 2 * node.radius) { // Eq. 6
         state.batchAssign(node, b.i1)
@@ -98,7 +98,7 @@ object DaskAssign {
         if (index == null) counter.nearest2(centroids(j), centroids, skip = j).d2
         else {
           val ub = if (first) Double.PositiveInfinity else prevCb(j) + drifts(j) + maxDrift // Eq. 9
-          index.nn2(centroids(j), ub, seedId = j, seedDist = 0.0).d2
+          index.nearest(centroids(j), 2, ub, seedId = j, seedDist = 0.0).d2
         }
       j += 1
     }

@@ -78,6 +78,11 @@ trait KMeansAlgo {
     */
   final def run(data: Array[Array[Double]], k: Int, maxIters: Int, init: Array[Array[Double]]): KMeansResult = {
     require(maxIters >= 1, "need at least one iteration")
+    require(data.nonEmpty, "need at least one data point")
+    require(init.length == k, s"need k=$k initial centroids, got ${init.length}")
+    require(k >= 1 && k <= data.length, s"need 1 <= k <= n, got k=$k n=${data.length}")
+    require(data.forall(_.forall(java.lang.Double.isFinite)), "data has a NaN or infinite coordinate")
+    require(init.forall(_.forall(java.lang.Double.isFinite)), "initial centroids have a NaN or infinite coordinate")
     val t0 = System.nanoTime()
     val counter = new DistanceCounter
     val state = start(data, k, init, counter)

@@ -101,4 +101,23 @@ class BaselineUnitSpec extends AnyFunSuite {
       intercept[IllegalArgumentException](a.run(data, 4, 0, init(4)))
     }
   }
+
+  test("all ten algorithms reject invalid input before the init phase") {
+    val algos: Seq[KMeansAlgo] = Seq(new Lloyd, new NoBound, new DualTree(), new Hamerly,
+      new Drake, new Yinyang, new Elkan, new DaskMeans(), new DaskMeans(useInterBound = false),
+      new DaskMeans(useKnn = false))
+    val withNaN = data.map(_.clone()); withNaN(17)(1) = Double.NaN
+    val withInf = init(4).map(_.clone()); withInf(2)(0) = Double.PositiveInfinity
+    val cases = Seq( // (expected message, data, k, initial centroids)
+      ("data point", Array.empty[Array[Double]], 1, Array(Array(0.0, 0.0, 0.0))),
+      ("initial centroids, got", data, 4, init(3)),
+      ("k <= n", data.take(3), 4, init(4)),
+      ("data has a NaN", withNaN, 4, init(4)),
+      ("initial centroids have a NaN", data, 4, withInf),
+    )
+    for (a <- algos; (msg, xs, k, start) <- cases) {
+      val e = intercept[IllegalArgumentException](a.run(xs, k, 5, start))
+      assert(e.getMessage.contains(msg), s"${a.name}: ${e.getMessage}")
+    }
+  }
 }

@@ -21,7 +21,7 @@ class CentroidIndexSpec extends AnyFunSuite {
     (i1, d1, i2, d2)
   }
 
-  test("nn1 with infinite bound matches brute force") {
+  test("nearest(want = 1) with infinite bound matches brute force") {
     val rnd = new Random(1)
     for (k <- Seq(2, 5, 17, 100); d <- Seq(2, 3, 6)) {
       val cs = centroids(k, d, k * 10 + d)
@@ -29,13 +29,13 @@ class CentroidIndexSpec extends AnyFunSuite {
       (1 to 50).foreach { _ =>
         val q = Array.fill(d)(rnd.nextDouble() * 50)
         val (bi, bd) = brute2(cs, q) match { case (i1, d1, _, _) => (i1, d1) }
-        val (gi, gd) = idx.nn1(q, Double.PositiveInfinity)
-        assert(gi == bi && math.abs(gd - bd) < 1e-9, s"k=$k d=$d")
+        val b = idx.nearest(q, 1, Double.PositiveInfinity)
+        assert(b.i1 == bi && math.abs(b.d1 - bd) < 1e-9, s"k=$k d=$d")
       }
     }
   }
 
-  test("nn2 with infinite bound matches brute force") {
+  test("nearest(want = 2) with infinite bound matches brute force") {
     val rnd = new Random(2)
     for (k <- Seq(2, 7, 33, 200); d <- Seq(2, 4)) {
       val cs = centroids(k, d, k * 7 + d)
@@ -43,7 +43,7 @@ class CentroidIndexSpec extends AnyFunSuite {
       (1 to 50).foreach { _ =>
         val q = Array.fill(d)(rnd.nextDouble() * 50)
         val (i1, d1, i2, d2) = brute2(cs, q)
-        val b = idx.nn2(q, Double.PositiveInfinity)
+        val b = idx.nearest(q, 2, Double.PositiveInfinity)
         assert(b.i1 == i1 && b.i2 == i2, s"k=$k d=$d got (${b.i1},${b.i2}) want ($i1,$i2)")
         assert(math.abs(b.d1 - d1) < 1e-9 && math.abs(b.d2 - d2) < 1e-9)
       }
@@ -59,10 +59,10 @@ class CentroidIndexSpec extends AnyFunSuite {
       val (i1, d1, i2, d2) = brute2(cs, q)
       // any ub >= true distance is valid; try tight and loose
       for (slack <- Seq(0.0, 0.1, 5.0)) {
-        val b = idx.nn2(q, d2 + slack + 1e-12)
+        val b = idx.nearest(q, 2, d2 + slack + 1e-12)
         assert(b.i1 == i1 && b.i2 == i2 && math.abs(b.d2 - d2) < 1e-9)
-        val (gi, gd) = idx.nn1(q, d1 + slack + 1e-12)
-        assert(gi == i1 && math.abs(gd - d1) < 1e-9)
+        val b1 = idx.nearest(q, 1, d1 + slack + 1e-12)
+        assert(b1.i1 == i1 && math.abs(b1.d1 - d1) < 1e-9)
       }
     }
   }
@@ -71,11 +71,12 @@ class CentroidIndexSpec extends AnyFunSuite {
     val rnd = new Random(4)
     val cs = centroids(40, 2, 12)
     val idx = new CentroidIndex(cs, 8, new DistanceCounter)
-    (1 to 50).foreach { _ =>
+    for (want <- Seq(1, 2); _ <- 1 to 50) {
       val q = Array.fill(2)(rnd.nextDouble() * 50)
       val (i1, d1, i2, d2) = brute2(cs, q)
-      val b = idx.nn2(q, d1 / 2) // below even the 1-NN distance
-      assert(b.i1 == i1 && b.i2 == i2 && math.abs(b.d2 - d2) < 1e-9)
+      val b = idx.nearest(q, want, d1 / 2) // below even the 1-NN distance
+      assert(b.i1 == i1 && math.abs(b.d1 - d1) < 1e-9, s"want=$want")
+      if (want == 2) assert(b.i2 == i2 && math.abs(b.d2 - d2) < 1e-9)
     }
   }
 
@@ -83,13 +84,14 @@ class CentroidIndexSpec extends AnyFunSuite {
     val rnd = new Random(5)
     val cs = centroids(50, 3, 13)
     val idx = new CentroidIndex(cs, 8, new DistanceCounter)
-    (1 to 50).foreach { _ =>
+    for (want <- Seq(1, 2); _ <- 1 to 50) {
       val q = Array.fill(3)(rnd.nextDouble() * 50)
       val (i1, d1, i2, d2) = brute2(cs, q)
       val seedId = rnd.nextInt(50)
       val seedDist = Vec.dist(q, cs(seedId))
-      val b = idx.nn2(q, d2 + 1e-9, seedId, seedDist)
-      assert(b.i1 == i1 && b.i2 == i2)
+      val b = idx.nearest(q, want, (if (want == 1) d1 else d2) + 1e-9, seedId, seedDist)
+      assert(b.i1 == i1, s"want=$want")
+      if (want == 2) assert(b.i2 == i2)
     }
   }
 
@@ -97,7 +99,7 @@ class CentroidIndexSpec extends AnyFunSuite {
     val cs = centroids(30, 2, 14)
     val idx = new CentroidIndex(cs, 4, new DistanceCounter)
     cs.indices.foreach { j =>
-      val b = idx.nn2(cs(j), Double.PositiveInfinity, seedId = j, seedDist = 0.0)
+      val b = idx.nearest(cs(j), 2, Double.PositiveInfinity, seedId = j, seedDist = 0.0)
       val trueMin = cs.indices.filter(_ != j).map(o => Vec.dist(cs(j), cs(o))).min
       assert(b.i1 == j && math.abs(b.d2 - trueMin) < 1e-9)
     }
@@ -111,7 +113,7 @@ class CentroidIndexSpec extends AnyFunSuite {
     counter.count = 0
     (1 to 100).foreach { _ =>
       val q = Array.fill(3)(rnd.nextDouble() * 50)
-      idx.nn2(q, Double.PositiveInfinity)
+      idx.nearest(q, 2, Double.PositiveInfinity)
     }
     assert(counter.count < 100L * 500, s"kNN did no pruning: ${counter.count}")
   }
@@ -119,7 +121,24 @@ class CentroidIndexSpec extends AnyFunSuite {
   test("k=2 degenerate index works") {
     val cs = Array(Array(0.0, 0.0), Array(10.0, 0.0))
     val idx = new CentroidIndex(cs, 4, new DistanceCounter)
-    val b = idx.nn2(Array(1.0, 0.0), Double.PositiveInfinity)
+    val b = idx.nearest(Array(1.0, 0.0), 2, Double.PositiveInfinity)
     assert(b.i1 == 0 && b.i2 == 1)
+  }
+
+  test("a 2-NN search allocates only its result queue") {
+    val rnd = new Random(7)
+    val cs = centroids(500, 3, 16)
+    val idx = new CentroidIndex(cs, 16, new DistanceCounter)
+    val qs = Array.fill(2000)(Array.fill(3)(rnd.nextDouble() * 50))
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    val tid = Thread.currentThread().getId
+    var sink = 0
+    def round(): Unit = { var i = 0; while (i < qs.length) { sink += idx.nearest(qs(i), 2, Double.PositiveInfinity).i2; i += 1 } }
+    round() // warm-up
+    val before = mx.getThreadAllocatedBytes(tid)
+    round()
+    val perSearch = (mx.getThreadAllocatedBytes(tid) - before).toDouble / qs.length
+    assert(sink != 0)
+    assert(perSearch < 256, f"$perSearch%.0f bytes allocated per search")
   }
 }
