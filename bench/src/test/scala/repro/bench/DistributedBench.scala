@@ -1,6 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
+import repro.core.Vec
 import repro.spark.{DistributedDaskMeans, MllibLloyd}
 import repro.spatial.SpatialData
 
@@ -14,26 +15,30 @@ class DistributedBench extends SparkSpec {
     val df = SpatialData.dataset(spark, "Argo-PC", 200_000L).persist()
     df.count()
 
+    val init = DistributedDaskMeans.initialCentroids(df, 500, 42L)
     val t0 = System.nanoTime()
-    val fitted = DistributedDaskMeans.fit(df, 500, maxIters = 10, numPartitions = 8)
+    val fitted = DistributedDaskMeans.fit(df, 500, maxIters = 10, numPartitions = 8, init = Some(init))
     val daskSec = (System.nanoTime() - t0) / 1e9
     val daskSse = DistributedDaskMeans.sse(df, fitted.centroids)
     DistributedDaskMeans.cleanup(fitted)
 
     val t1 = System.nanoTime()
-    val ml = MllibLloyd.fit(df, 500, maxIters = 10)
+    val ml = MllibLloyd.fit(df, init, maxIters = 10)
     val mlSec = (System.nanoTime() - t1) / 1e9
+    val mlSse = DistributedDaskMeans.sse(df, ml)
 
     val text =
-      f"""n=200000 k=500 maxIters=10
+      f"""n=200000 k=500 maxIters=10, both from the same initial centroids
          |distributed Dask-means: ${daskSec}%8.2f s  iters=${fitted.iterations}  SSE=${daskSse}%14.1f  pruned=${fitted.batchPrunedVectors}
-         |MLlib KMeans (Lloyd)  : ${mlSec}%8.2f s  iters=${ml.iterations}  SSE=${ml.trainingCost}%14.1f
+         |MLlib KMeans (Lloyd)  : ${mlSec}%8.2f s  SSE=${mlSse}%14.1f
          |""".stripMargin
     BenchOut.write("distributed.txt", text)
 
     df.unpersist()
-    assert(daskSse > 0 && ml.trainingCost > 0)
-    // same objective, different inits: solutions must be the same order
-    assert(daskSse < ml.trainingCost * 3 && ml.trainingCost < daskSse * 3)
+    // Same init, same Lloyd trajectory: the same centroids and objective.
+    fitted.centroids.indices.foreach { j =>
+      assert(Vec.dist(fitted.centroids(j), ml(j)) < 1e-9, s"centroid $j")
+    }
+    assert(math.abs(daskSse - mlSse) <= 1e-9 * daskSse, s"dask=$daskSse mllib=$mlSse")
   }
 }

@@ -115,21 +115,23 @@ object SimplifyJob {
     val dataset = conf.getOrElse("dataset", "Argo-PC")
     val df = SpatialData.dataset(spark, dataset, n).persist()
 
+    val init = DistributedDaskMeans.initialCentroids(df, k, 42L)
     val t0 = System.nanoTime()
-    val fitted = DistributedDaskMeans.fit(df, k, maxIters = 10)
+    val fitted = DistributedDaskMeans.fit(df, k, maxIters = 10, init = Some(init))
     val daskMs = (System.nanoTime() - t0) / 1e6
     val daskSse = DistributedDaskMeans.sse(df, fitted.centroids)
     DistributedDaskMeans.cleanup(fitted)
 
     val t1 = System.nanoTime()
-    val ml = MllibLloyd.fit(df, k, maxIters = 10)
+    val ml = MllibLloyd.fit(df, init, maxIters = 10)
     val mlMs = (System.nanoTime() - t1) / 1e6
+    val mlSse = DistributedDaskMeans.sse(df, ml)
 
     val simplified = Simplify.simplify(df, math.min(k, 200), maxIters = 5)
     val text =
       f"dataset=$dataset n=$n k=$k\n" +
         f"distributed Dask-means: ${daskMs / 1000}%.2f s, ${fitted.iterations} iters, SSE=$daskSse%.1f, prunedVectors=${fitted.batchPrunedVectors}\n" +
-        f"MLlib KMeans          : ${mlMs / 1000}%.2f s, ${ml.iterations} iters, SSE=${ml.trainingCost}%.1f\n" +
+        f"MLlib KMeans          : ${mlMs / 1000}%.2f s, SSE=$mlSse%.1f\n" +
         f"simplified rows       : ${simplified.count()}\n"
     JobSpark.emit(text, conf)
     spark.stop()

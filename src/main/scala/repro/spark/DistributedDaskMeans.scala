@@ -2,7 +2,8 @@ package repro.spark
 
 import org.apache.spark.TaskContext
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import repro.core._
@@ -17,7 +18,9 @@ import scala.collection.concurrent.TrieMap
   * inter-bound / batch pruning carries over between iterations exactly as
   * in the serial algorithm. Keys are (runId, partitionId); entries are
   * dropped explicitly when a run finishes. Works wherever executor JVMs
-  * are stable across stages (local mode and standalone executors).
+  * are stable across stages (local mode and standalone executors). Only
+  * the first assignment job reads a partition's rows; later jobs find the
+  * entry and reuse the shuffle without reading them.
   */
 object PartitionIndexCache {
   final class Entry(
@@ -40,11 +43,11 @@ object PartitionIndexCache {
 }
 
 /** Dask-means lifted onto Spark per the repro plan: the memory-tunable
-  * index and batch assignment run as a per-partition `mapPartitions`
-  * operator, feeding MLlib-KMeans-style (Lloyd) iterations — per iteration
-  * the driver broadcasts the centroids and inter bounds, each partition
-  * runs [[repro.core.DaskAssign.step]] over its cached tree, and the
-  * emitted (cluster, count, sum) partials are reduced into the next
+  * index and batch assignment run as a per-partition operator, feeding
+  * MLlib-KMeans-style (Lloyd) iterations — per iteration the driver
+  * broadcasts the centroids and inter bounds, one RDD job runs
+  * [[repro.core.DaskAssign.step]] over every partition's cached tree, and
+  * the one partial each partition returns is reduced into the next
   * centroids.
   */
 object DistributedDaskMeans {
@@ -71,10 +74,13 @@ object DistributedDaskMeans {
       .collect()
       .map(_.getSeq[Double](0).toArray)
 
-  /** Fit k-means over `df` (columns `id`, `features`). The frame should be
-    * persisted by the caller if it is expensive to recompute; partitions
-    * must be deterministic across iterations (repartition(id) enforces it).
-    * If the fit throws, the run's partition cache is dropped.
+  /** Fit k-means over `df` (columns `id`, `features`). The input is read
+    * twice without `init` (once for the initial centroids, once by the
+    * shuffle that partitions it by id), otherwise once; later iterations
+    * reuse the shuffle, so the caller should persist `df` only if it is
+    * expensive to recompute. Invalid input fails with the messages of
+    * [[repro.core.KMeansAlgo.run]]. If the fit throws, the run's partition
+    * cache is dropped.
     */
   def fit(
       df: DataFrame,
@@ -86,14 +92,19 @@ object DistributedDaskMeans {
       init: Option[Array[Array[Double]]] = None,
   ): FitResult = {
     require(maxIters >= 1, "need at least one iteration")
-    val spark = df.sparkSession
-    val parts = if (numPartitions > 0) numPartitions else spark.sparkContext.defaultParallelism
-    val pts = df.select("id", "features").repartition(parts, col("id")).persist()
-    pts.count() // materialise so the partition layout is frozen
+    require(k >= 1, s"need 1 <= k <= n, got k=$k")
+    init.foreach { cs =>
+      require(cs.length == k, s"need k=$k initial centroids, got ${cs.length}")
+      require(cs.forall(_.forall(java.lang.Double.isFinite)), "initial centroids have a NaN or infinite coordinate")
+    }
+    val sc = df.sparkSession.sparkContext
+    val parts = if (numPartitions > 0) numPartitions else sc.defaultParallelism
+    val start = init.getOrElse(initialCentroids(df, k, seed))
+    require(start.length == k, s"need 1 <= k <= n, got k=$k n=${start.length}")
+    val rows = df.select("id", "features").repartition(parts, col("id")).rdd
+      .map(r => (r.getLong(0), r.getSeq[Double](1).toArray))
 
     val runId = java.util.UUID.randomUUID().toString
-    val start = init.getOrElse(initialCentroids(pts, k, seed))
-    require(start.length == k, s"need k=$k distinct initial centroids, got ${start.length}")
     val d = start(0).length
     val driverCounter = new DistanceCounter
     var counts: Array[Long] = null
@@ -106,20 +117,21 @@ object DistributedDaskMeans {
         // Driver-side inter bounds over a centroid index (k is small).
         val index = if (k > 1) new CentroidIndex(centroids, leafCapacity, driverCounter) else null
         cb = DaskAssign.interBounds(centroids, index, first = it == 0, cb, drifts, driverCounter)
-        val bc = spark.sparkContext.broadcast((centroids, cb))
-        val partials = assignPartitions(pts, runId, k, leafCapacity, bc)
+        val bc = sc.broadcast((centroids, cb))
+        val partials = assignPartitions(rows, runId, k, leafCapacity, bc)
         bc.unpersist()
 
-        // Reduce partials into per-cluster sums; cluster −1 carries a
-        // partition's pruned count.
+        // Partition order fixes the order each cluster's sum is added in.
+        // A cluster a partition emptied is skipped: its sum may keep
+        // rounding residue.
         sums = Array.fill(k)(new Array[Double](d))
         counts = new Array[Long](k)
-        var pruned = 0L
-        partials.foreach { case (j, c, s) =>
-          if (j < 0) pruned += c
-          else { counts(j) += c; Vec.addInto(sums(j), s) }
+        for (p <- partials; j <- 0 until k if p.counts(j) > 0) {
+          counts(j) += p.counts(j)
+          Vec.addInto(sums(j), p.sums(j))
         }
-        pruned
+        if (it == 0) require(counts.sum >= k, s"need 1 <= k <= n, got k=$k n=${counts.sum}")
+        partials.map(_.pruned).sum
       }
 
       override def refine(centroids: Array[Array[Double]], drifts: Array[Double]): Array[Array[Double]] =
@@ -131,46 +143,40 @@ object DistributedDaskMeans {
       FitResult(out.centroids, out.iterations, runId, out.pruned, counts, parts)
     } catch {
       case t: Throwable => PartitionIndexCache.drop(runId); throw t
-    } finally pts.unpersist()
+    }
   }
 
-  /** One assignment phase over every partition's cached tree: the
-    * (cluster, count, sum) partials of its non-empty clusters, and one
-    * (−1, pruned vectors, ∅) record.
+  /** One partition's share of an assignment phase. */
+  private final case class Partial(pruned: Long, counts: Array[Long], sums: Array[Array[Double]])
+
+  /** One assignment phase over every partition's cached tree, built from
+    * the partition's rows on first use: one partial per non-empty
+    * partition, in partition order.
     */
   private def assignPartitions(
-      pts: DataFrame,
+      rows: RDD[(Long, Array[Double])],
       runId: String,
       k: Int,
       leafCapacity: Int,
       bc: Broadcast[(Array[Array[Double]], Array[Double])],
-  ): Array[(Int, Long, Array[Double])] = {
-    import pts.sparkSession.implicits._
-    pts
-      .mapPartitions { rows =>
-        val pid = TaskContext.getPartitionId()
+  ): Array[Partial] =
+    rows
+      .mapPartitionsWithIndex { (pid, it) =>
         val entry = PartitionIndexCache.getOrBuild(runId, pid, () => {
-          val buf = rows.map(r => (r.getLong(0), r.getSeq[Double](1).toArray)).toArray
-          val data = buf.map(_._2)
-          val counter = new DistanceCounter
-          if (data.isEmpty) new PartitionIndexCache.Entry(Array.empty, null, counter)
-          else new PartitionIndexCache.Entry(
-            buf.map(_._1),
-            new TreeAssignmentState(data, BallTree.build(data, leafCapacity), k),
-            counter)
+          val (ids, data) = it.toArray.unzip
+          require(data.forall(_.forall(java.lang.Double.isFinite)), "data has a NaN or infinite coordinate")
+          val state = if (data.isEmpty) null else new TreeAssignmentState(data, BallTree.build(data, leafCapacity), k)
+          new PartitionIndexCache.Entry(ids, state, new DistanceCounter)
         })
         if (entry.state == null) Iterator.empty
         else {
           val (cs, cb) = bc.value
           val index = if (k > 1) new CentroidIndex(cs, leafCapacity, entry.counter) else null
           val pruned = DaskAssign.step(entry.state, cs, cb, index, entry.counter)
-          val st = entry.state
-          Iterator.single((-1, pruned, Array.emptyDoubleArray)) ++
-            (0 until k).iterator.filter(j => st.counts(j) > 0).map(j => (j, st.counts(j), st.sums(j)))
+          Iterator.single(Partial(pruned, entry.state.counts, entry.state.sums))
         }
       }
       .collect()
-  }
 
   /** Final per-point assignments of a finished run as a DataFrame
     * `(id, cluster)`, partitioned as the run was; requires the run's cached

@@ -1,31 +1,27 @@
 package repro.spark
 
-import org.apache.spark.ml.clustering.{KMeans => MlKMeans}
-import org.apache.spark.ml.functions.array_to_vector
+import org.apache.spark.mllib.clustering.{KMeans => MlKMeans, KMeansModel}
+import org.apache.spark.mllib.linalg.Vectors
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 /** MLlib's KMeans as the distributed baseline the per-partition Dask-means
-  * operator is compared against.
+  * operator is compared against. It starts from the given centroids, so
+  * both run Lloyd's trajectory from the same init.
   */
 object MllibLloyd {
 
-  final case class FitResult(centroids: Array[Array[Double]], iterations: Int, trainingCost: Double)
-
-  def fit(df: DataFrame, k: Int, maxIters: Int, seed: Long = 42L): FitResult = {
-    val vec = df.select(col("id"), array_to_vector(col("features")).as("fv"))
-    val model = new MlKMeans()
-      .setK(k)
-      .setMaxIter(maxIters)
-      .setSeed(seed)
-      .setInitMode("random")
-      .setFeaturesCol("fv")
-      .setTol(0.0)
-      .fit(vec)
-    FitResult(
-      model.clusterCenters.map(_.toArray),
-      model.summary.numIter,
-      model.summary.trainingCost,
-    )
+  /** The centroids after `maxIters` Lloyd iterations from `init` (fewer if
+    * no centroid moves).
+    */
+  def fit(df: DataFrame, init: Array[Array[Double]], maxIters: Int): Array[Array[Double]] = {
+    val vectors = df.select("features").rdd.map(r => Vectors.dense(r.getSeq[Double](0).toArray))
+    new MlKMeans()
+      .setK(init.length)
+      .setInitialModel(new KMeansModel(init.map(Vectors.dense)))
+      .setMaxIterations(maxIters)
+      .setEpsilon(0.0)
+      .run(vectors)
+      .clusterCenters
+      .map(_.toArray)
   }
 }

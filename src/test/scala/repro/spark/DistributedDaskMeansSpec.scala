@@ -5,6 +5,8 @@ import repro.baselines.Lloyd
 import repro.core.{KMeans, Vec}
 import repro.spatial.SpatialData
 
+import scala.reflect.ClassTag
+
 class DistributedDaskMeansSpec extends SparkSpec {
 
   private def fixture(n: Int, name: String = "Argo-PC") = {
@@ -12,6 +14,19 @@ class DistributedDaskMeansSpec extends SparkSpec {
     val data = SpatialData.collectPoints(df)
     (df, data)
   }
+
+  /** `body` throws a `T` whose message holds `message`, and leaves no
+    * partition state behind.
+    */
+  private def rejects[T <: Throwable: ClassTag](message: String)(body: => Any): Unit = {
+    val before = PartitionIndexCache.size
+    val e = intercept[T](body)
+    assert(e.getMessage.contains(message), e.getMessage)
+    assert(PartitionIndexCache.size == before)
+  }
+
+  private def frame(rows: Seq[Seq[Double]]) =
+    spark.createDataFrame(rows.zipWithIndex.map { case (p, i) => (i.toLong, p) }).toDF("id", "features")
 
   test("distributed run matches serial Lloyd from the same init") {
     val (df, data) = fixture(3000)
@@ -77,10 +92,59 @@ class DistributedDaskMeansSpec extends SparkSpec {
 
   test("fit rejects maxIters < 1 before building any partition state") {
     val (df, _) = fixture(300, "Porto")
-    val before = PartitionIndexCache.size
-    val e = intercept[IllegalArgumentException](DistributedDaskMeans.fit(df, 5, 0, numPartitions = 2))
-    assert(e.getMessage.contains("need at least one iteration"))
-    assert(PartitionIndexCache.size == before)
+    rejects[IllegalArgumentException]("need at least one iteration") {
+      DistributedDaskMeans.fit(df, 5, 0, numPartitions = 2)
+    }
+  }
+
+  test("fit rejects k < 1 before building any partition state") {
+    val (df, _) = fixture(300, "Porto")
+    Seq(0, -1).foreach { k =>
+      rejects[IllegalArgumentException](s"need 1 <= k <= n, got k=$k") {
+        DistributedDaskMeans.fit(df, k, 3, numPartitions = 2)
+      }
+    }
+  }
+
+  test("fit rejects initial centroids of the wrong count or with a non-finite coordinate") {
+    val (df, data) = fixture(300, "Porto")
+    val init = KMeans.initCentroids(data, 5, 7L)
+    rejects[IllegalArgumentException]("need k=5 initial centroids, got 4") {
+      DistributedDaskMeans.fit(df, 5, 3, numPartitions = 2, init = Some(init.init))
+    }
+    Seq(Double.NaN, Double.PositiveInfinity).foreach { bad =>
+      val broken = init.map(_.clone)
+      broken(2)(1) = bad
+      rejects[IllegalArgumentException]("initial centroids have a NaN or infinite coordinate") {
+        DistributedDaskMeans.fit(df, 5, 3, numPartitions = 2, init = Some(broken))
+      }
+    }
+  }
+
+  test("fit rejects a NaN or infinite coordinate in the data") {
+    val (_, data) = fixture(300, "Porto")
+    val init = KMeans.initCentroids(data, 5, 7L)
+    Seq(Double.NaN, Double.NegativeInfinity).foreach { bad =>
+      val df = frame(data.toSeq.map(_.toSeq) :+ Seq(1.0, bad))
+      // One partition, so no other task can race the drop on failure.
+      rejects[Exception]("data has a NaN or infinite coordinate") {
+        DistributedDaskMeans.fit(df, 5, 3, numPartitions = 1, init = Some(init))
+      }
+      rejects[Exception]("data has a NaN or infinite coordinate") {
+        DistributedDaskMeans.fit(df, 5, 3, numPartitions = 1)
+      }
+    }
+  }
+
+  test("fit rejects k > n") {
+    val df = frame(Seq(Seq(0.0, 0.0), Seq(1.0, 0.0), Seq(0.0, 1.0)))
+    val init = Array(Array(0.0, 0.0), Array(1.0, 1.0), Array(2.0, 2.0), Array(3.0, 3.0), Array(4.0, 4.0))
+    rejects[IllegalArgumentException]("need 1 <= k <= n, got k=5 n=3") {
+      DistributedDaskMeans.fit(df, 5, 3, numPartitions = 2, init = Some(init))
+    }
+    rejects[IllegalArgumentException]("need 1 <= k <= n, got k=5 n=3") {
+      DistributedDaskMeans.fit(df, 5, 3, numPartitions = 2)
+    }
   }
 
   test("cleanup drops the partition cache") {
@@ -126,6 +190,44 @@ class DistributedDaskMeansSpec extends SparkSpec {
     assert(PartitionIndexCache.size == before)
   }
 
+  test("fit outputs pinned bit for bit on five fixed inputs") {
+    // (dataset, n, k, partitions, maxIters, seed). "3D-RD" at 40 rows over
+    // 32 partitions leaves partitions empty; the "Argo-AVL" input moves
+    // init(0) far away, so cluster 0 empties in every partition.
+    val inputs = Seq(
+      ("Argo-PC", 6000, 40, 3, 8, 1L),
+      ("T-drive", 5000, 60, 4, 6, 2L),
+      ("Porto", 3000, 25, 5, 10, 9L),
+      ("3D-RD", 40, 4, 32, 5, 3L),
+      ("Argo-AVL", 4000, 15, 4, 6, 6L),
+    )
+    val got = inputs.map { case key @ (name, n, k, parts, maxIters, seed) =>
+      val (df, data) = fixture(n, name)
+      val init = KMeans.initCentroids(data, k, seed)
+      if (name == "Argo-AVL") init(0) = init(0).map(_ + 1e6)
+      val fitted = DistributedDaskMeans.fit(df, k, maxIters, numPartitions = parts, init = Some(init))
+      try {
+        val entries = (0 until parts).flatMap(PartitionIndexCache.get(fitted.runId, _))
+        if (name == "3D-RD") assert(entries.exists(_.state == null), "no partition is empty")
+        if (name == "Argo-AVL") assert(fitted.counts(0) == 0, "cluster 0 did not empty")
+        val centroidBits = java.util.Arrays.hashCode(fitted.centroids.flatten.map(java.lang.Double.doubleToLongBits))
+        key -> (fitted.iterations, fitted.batchPrunedVectors, java.util.Arrays.hashCode(fitted.counts),
+          centroidBits, entries.map(_.counter.count).sum)
+      } finally DistributedDaskMeans.cleanup(fitted)
+    }
+    // Recorded before the fit became one RDD job per iteration:
+    // (iterations, batchPrunedVectors, hash of counts, hash of the
+    //  centroids' bits, distances summed over the partition counters).
+    val pinned = Map(
+      ("Argo-PC", 6000, 40, 3, 8, 1L) -> (8, 27414L, 633388187, -2065749010, 1021583L),
+      ("T-drive", 5000, 60, 4, 6, 2L) -> (6, 15013L, -1613167283, 1823219830, 752383L),
+      ("Porto", 3000, 25, 5, 10, 9L) -> (10, 18215L, -356922481, 543354841, 397700L),
+      ("3D-RD", 40, 4, 32, 5, 3L) -> (4, 102L, 1172861, 266359331, 608L),
+      ("Argo-AVL", 4000, 15, 4, 6, 6L) -> (6, 13709L, -2005940573, 1014948673, 205392L),
+    )
+    got.foreach { case (key, out) => assert(out == pinned(key), key) }
+  }
+
   test("sse agrees with a serial computation") {
     val (df, data) = fixture(1000, "Shapenet")
     val k = 8
@@ -141,16 +243,17 @@ class DistributedDaskMeansSpec extends SparkSpec {
   }
 
   test("MLlib baseline reaches a comparable SSE on the same data") {
-    val (df, data) = fixture(2000, "Argo-PC")
+    val (df, _) = fixture(2000, "Argo-PC")
     val k = 10
-    val init = KMeans.initCentroids(data, k, 5L)
+    val init = DistributedDaskMeans.initialCentroids(df, k, 5L)
     val fitted = DistributedDaskMeans.fit(df, k, 10, numPartitions = 4, init = Some(init))
     DistributedDaskMeans.cleanup(fitted)
-    val ours = DistributedDaskMeans.sse(df, fitted.centroids)
-    val ml = MllibLloyd.fit(df, k, 10)
-    // different inits: costs need not match, but must be the same order
-    assert(ml.trainingCost > 0 && ours > 0)
-    assert(ours < ml.trainingCost * 3 && ml.trainingCost < ours * 3,
-      s"ours=$ours mllib=${ml.trainingCost}")
+    // Both start from the same centroids, so both are Lloyd's trajectory.
+    val ml = MllibLloyd.fit(df, init, 10)
+    fitted.centroids.indices.foreach { j =>
+      assert(Vec.dist(fitted.centroids(j), ml(j)) < 1e-9, s"centroid $j")
+    }
+    val (ours, theirs) = (DistributedDaskMeans.sse(df, fitted.centroids), DistributedDaskMeans.sse(df, ml))
+    assert(math.abs(ours - theirs) <= 1e-9 * ours, s"ours=$ours mllib=$theirs")
   }
 }
