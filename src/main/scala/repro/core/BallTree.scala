@@ -56,7 +56,7 @@ object BallTree {
   def build(data: Array[Array[Double]], leafCapacity: Int): Built = {
     require(data.nonEmpty, "cannot build a Ball-tree over an empty dataset")
     require(leafCapacity >= 2, s"leaf capacity must be >= 2, got $leafCapacity")
-    val idx = Array.tabulate(data.length)(identity)
+    val idx = Array.range(0, data.length)
     var nextId = 0
     def newId(): Int = { val i = nextId; nextId += 1; i }
 

@@ -34,18 +34,20 @@ final class CentroidIndex(
     }
   }
 
-  /** The `want` ∈ {1, 2} nearest centroids of q. `ub` must upper-bound the
-    * true `want`-NN distance; if it turns out not to, the search runs again
-    * with an infinite bound and without the seed. `seedId`/`seedDist`
-    * optionally pre-populate the queue with an already computed candidate.
-    * With `want` = 1 only `i1`/`d1` are meaningful. With `want` = 2 and
-    * k = 1 the queue never fills, so the result has `i2` = −1, `d2` = ∞.
+  /** The `want` ∈ {1, 2} nearest centroids of q, written into the caller's
+    * queue `out`, which is reset to `ub` first and returned. `ub` must
+    * upper-bound the true `want`-NN distance; if it turns out not to, the
+    * search runs again into the same queue with an infinite bound and
+    * without the seed. `seedId`/`seedDist` optionally pre-populate the queue
+    * with an already computed candidate. With `want` = 1 only `i1`/`d1` are
+    * meaningful. With `want` = 2 and k = 1 the queue never fills, so the
+    * result has `i2` = −1, `d2` = ∞. A search allocates nothing.
     */
-  def nearest(q: Array[Double], want: Int, ub: Double, seedId: Int = -1, seedDist: Double = 0.0): Best2 = {
-    val b = new Best2(ub)
-    if (seedId >= 0 && seedDist < ub) b.insert(seedId, seedDist)
-    search(b, want, q, built.root)
-    if ((if (want == 1) b.i1 else b.i2) >= 0) b
-    else { val all = new Best2(Double.PositiveInfinity); search(all, want, q, built.root); all }
+  def nearest(q: Array[Double], want: Int, ub: Double, out: Best2, seedId: Int = -1, seedDist: Double = 0.0): Best2 = {
+    out.reset(ub)
+    if (seedId >= 0 && seedDist < ub) out.insert(seedId, seedDist)
+    search(out, want, q, built.root)
+    if ((if (want == 1) out.i1 else out.i2) < 0) search(out.reset(Double.PositiveInfinity), want, q, built.root)
+    out
   }
 }

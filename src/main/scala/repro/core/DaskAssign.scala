@@ -6,7 +6,9 @@ package repro.core
   */
 object DaskAssign {
 
-  /** Run one assignment phase over `state` against `centroids`.
+  /** Run one assignment phase over `state` against `centroids`. With an
+    * index, the phase allocates two result queues, one for node searches
+    * and one for point searches, and nothing per search.
     *
     * @param cb     inter bounds per centroid (Eq. 3); pass null to disable
     *               the Eq. 4/5 checks (the NoInB ablation)
@@ -31,6 +33,9 @@ object DaskAssign {
       return state.tree.root.count.toLong
     }
 
+    val nodeBest = new Best2(Double.PositiveInfinity)
+    val pointBest = new Best2(Double.PositiveInfinity)
+
     def assignPoint(p: Int, ub: Double): Unit = {
       val prev = state.assignments(p)
       var seedDist = -1.0
@@ -39,7 +44,7 @@ object DaskAssign {
         if (cb != null && seedDist < cb(prev) / 2) { pruned += 1; return } // Eq. 4
       }
       val n1 =
-        if (index != null) index.nearest(data(p), 1, ub, prev, seedDist).i1
+        if (index != null) index.nearest(data(p), 1, ub, pointBest, prev, seedDist).i1
         else counter.nearest2(data(p), centroids, prev, seedDist).i1
       state.assignPoint(p, n1)
     }
@@ -55,18 +60,20 @@ object DaskAssign {
         }
       }
       val b =
-        if (index != null) index.nearest(node.pivot, 2, ub, prev, seedDist)
+        if (index != null) index.nearest(node.pivot, 2, ub, nodeBest, prev, seedDist)
         else counter.nearest2(node.pivot, centroids, prev, seedDist)
       if (b.d2 - b.d1 > 2 * node.radius) { // Eq. 6
         state.batchAssign(node, b.i1)
         pruned += node.count
       } else if (node.isLeaf) {
         state.pushDown(node)()
+        val pointUb = b.d1 + node.radius
         var i = 0
-        while (i < node.points.length) { assignPoint(node.points(i), b.d1 + node.radius); i += 1 }
+        while (i < node.points.length) { assignPoint(node.points(i), pointUb); i += 1 }
       } else {
         state.pushDown(node)()
-        val childUb = b.d2 + node.radius // Eq. 7: inherited bound
+        // Eq. 7: inherited bound, read before the recursion reuses `nodeBest`.
+        val childUb = b.d2 + node.radius
         assignNode(node.left, childUb)
         assignNode(node.right, childUb)
       }
@@ -92,13 +99,14 @@ object DaskAssign {
     val cb = new Array[Double](k)
     if (k == 1) { cb(0) = Double.PositiveInfinity; return cb }
     val maxDrift = KMeans.maxDrift(drifts)
+    val best = new Best2(Double.PositiveInfinity)
     var j = 0
     while (j < k) {
       cb(j) =
         if (index == null) counter.nearest2(centroids(j), centroids, skip = j).d2
         else {
           val ub = if (first) Double.PositiveInfinity else prevCb(j) + drifts(j) + maxDrift // Eq. 9
-          index.nearest(centroids(j), 2, ub, seedId = j, seedDist = 0.0).d2
+          index.nearest(centroids(j), 2, ub, best, seedId = j, seedDist = 0.0).d2
         }
       j += 1
     }

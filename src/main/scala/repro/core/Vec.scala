@@ -78,11 +78,15 @@ final class DistanceCounter {
 }
 
 /** Fixed-size-2 result queue: ids and distances of the best candidates,
-  * d1 ≤ d2; slots start at the initial upper bound with id −1.
+  * d1 ≤ d2; slots start at the initial upper bound with id −1. A caller
+  * that searches many times owns one queue and [[reset]]s it per search.
   */
 final class Best2(ub: Double) {
   var i1: Int = -1; var d1: Double = ub
   var i2: Int = -1; var d2: Double = ub
+
+  /** Empty both slots to the bound `ub`; returns this queue. */
+  def reset(ub: Double): Best2 = { i1 = -1; d1 = ub; i2 = -1; d2 = ub; this }
 
   def insert(i: Int, d: Double): Unit = {
     if (i == i1 || i == i2) return

@@ -1,8 +1,6 @@
 package repro.spark
 
 import org.apache.spark.TaskContext
-import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
@@ -44,11 +42,12 @@ object PartitionIndexCache {
 
 /** Dask-means lifted onto Spark per the repro plan: the memory-tunable
   * index and batch assignment run as a per-partition operator, feeding
-  * MLlib-KMeans-style (Lloyd) iterations — per iteration the driver
-  * broadcasts the centroids and inter bounds, one RDD job runs
-  * [[repro.core.DaskAssign.step]] over every partition's cached tree, and
-  * the one partial each partition returns is reduced into the next
-  * centroids.
+  * MLlib-KMeans-style (Lloyd) iterations. Per assignment phase the driver
+  * computes the inter bounds and runs one job whose task function, a
+  * `Step`, carries the centroids and inter bounds; each task runs
+  * [[repro.core.DaskAssign.step]] over its partition's cached tree, and
+  * the one partial each non-empty partition returns is reduced into the
+  * next centroids.
   */
 object DistributedDaskMeans {
 
@@ -78,7 +77,9 @@ object DistributedDaskMeans {
     * twice without `init` (once for the initial centroids, once by the
     * shuffle that partitions it by id), otherwise once; later iterations
     * reuse the shuffle, so the caller should persist `df` only if it is
-    * expensive to recompute. Invalid input fails with the messages of
+    * expensive to recompute. Each assignment phase is one job, with the
+    * centroids and inter bounds in its task rather than in a broadcast
+    * variable. Invalid input fails with the messages of
     * [[repro.core.KMeansAlgo.run]]. If the fit throws, the run's partition
     * cache is dropped.
     */
@@ -101,8 +102,8 @@ object DistributedDaskMeans {
     val parts = if (numPartitions > 0) numPartitions else sc.defaultParallelism
     val start = init.getOrElse(initialCentroids(df, k, seed))
     require(start.length == k, s"need 1 <= k <= n, got k=$k n=${start.length}")
-    val rows = df.select("id", "features").repartition(parts, col("id")).rdd
-      .map(r => (r.getLong(0), r.getSeq[Double](1).toArray))
+    import df.sparkSession.implicits._
+    val rows = df.select("id", "features").repartition(parts, col("id")).as[(Long, Array[Double])].rdd
 
     val runId = java.util.UUID.randomUUID().toString
     val d = start(0).length
@@ -117,9 +118,7 @@ object DistributedDaskMeans {
         // Driver-side inter bounds over a centroid index (k is small).
         val index = if (k > 1) new CentroidIndex(centroids, leafCapacity, driverCounter) else null
         cb = DaskAssign.interBounds(centroids, index, first = it == 0, cb, drifts, driverCounter)
-        val bc = sc.broadcast((centroids, cb))
-        val partials = assignPartitions(rows, runId, k, leafCapacity, bc)
-        bc.unpersist()
+        val partials = sc.runJob(rows, new Step(runId, k, leafCapacity, centroids, cb)).filter(_ != null)
 
         // Partition order fixes the order each cluster's sum is added in.
         // A cluster a partition emptied is skipped: its sum may keep
@@ -149,34 +148,33 @@ object DistributedDaskMeans {
   /** One partition's share of an assignment phase. */
   private final case class Partial(pruned: Long, counts: Array[Long], sums: Array[Array[Double]])
 
-  /** One assignment phase over every partition's cached tree, built from
-    * the partition's rows on first use: one partial per non-empty
-    * partition, in partition order.
+  /** One partition's assignment phase against `centroids`: the partition's
+    * cached tree, built from its rows on first use, assigned by
+    * [[repro.core.DaskAssign.step]]. An empty partition returns null. The
+    * centroids and inter bounds travel in the serialized task.
     */
-  private def assignPartitions(
-      rows: RDD[(Long, Array[Double])],
+  private final class Step(
       runId: String,
       k: Int,
       leafCapacity: Int,
-      bc: Broadcast[(Array[Array[Double]], Array[Double])],
-  ): Array[Partial] =
-    rows
-      .mapPartitionsWithIndex { (pid, it) =>
-        val entry = PartitionIndexCache.getOrBuild(runId, pid, () => {
-          val (ids, data) = it.toArray.unzip
-          require(data.forall(_.forall(java.lang.Double.isFinite)), "data has a NaN or infinite coordinate")
-          val state = if (data.isEmpty) null else new TreeAssignmentState(data, BallTree.build(data, leafCapacity), k)
-          new PartitionIndexCache.Entry(ids, state, new DistanceCounter)
-        })
-        if (entry.state == null) Iterator.empty
-        else {
-          val (cs, cb) = bc.value
-          val index = if (k > 1) new CentroidIndex(cs, leafCapacity, entry.counter) else null
-          val pruned = DaskAssign.step(entry.state, cs, cb, index, entry.counter)
-          Iterator.single(Partial(pruned, entry.state.counts, entry.state.sums))
-        }
+      centroids: Array[Array[Double]],
+      cb: Array[Double],
+  ) extends ((TaskContext, Iterator[(Long, Array[Double])]) => Partial) with Serializable {
+    def apply(ctx: TaskContext, rows: Iterator[(Long, Array[Double])]): Partial = {
+      val entry = PartitionIndexCache.getOrBuild(runId, ctx.partitionId(), () => {
+        val (ids, data) = rows.toArray.unzip
+        require(data.forall(_.forall(java.lang.Double.isFinite)), "data has a NaN or infinite coordinate")
+        val state = if (data.isEmpty) null else new TreeAssignmentState(data, BallTree.build(data, leafCapacity), k)
+        new PartitionIndexCache.Entry(ids, state, new DistanceCounter)
+      })
+      if (entry.state == null) null
+      else {
+        val index = if (k > 1) new CentroidIndex(centroids, leafCapacity, entry.counter) else null
+        val pruned = DaskAssign.step(entry.state, centroids, cb, index, entry.counter)
+        Partial(pruned, entry.state.counts, entry.state.sums)
       }
-      .collect()
+    }
+  }
 
   /** Final per-point assignments of a finished run as a DataFrame
     * `(id, cluster)`, partitioned as the run was; requires the run's cached
@@ -216,9 +214,8 @@ object DistributedDaskMeans {
     val spark = df.sparkSession
     val bc = spark.sparkContext.broadcast(centroids)
     import spark.implicits._
-    df.select("features")
-      .map { r =>
-        val p = r.getSeq[Double](0).toArray
+    df.select("features").as[Array[Double]]
+      .map { p =>
         val cs = bc.value
         Vec.dist2(p, cs(Vec.nearest(p, cs)))
       }

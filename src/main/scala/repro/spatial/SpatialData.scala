@@ -153,6 +153,8 @@ object SpatialData {
   /** Collect a generated frame into the dense array form the serial
     * algorithms consume (ordered by id so runs are reproducible).
     */
-  def collectPoints(df: DataFrame): Array[Array[Double]] =
-    df.orderBy("id").select("features").collect().map(_.getSeq[Double](0).toArray)
+  def collectPoints(df: DataFrame): Array[Array[Double]] = {
+    import df.sparkSession.implicits._
+    df.orderBy("id").select("features").as[Array[Double]].collect()
+  }
 }

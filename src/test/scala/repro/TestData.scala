@@ -5,6 +5,15 @@ import scala.util.Random
 /** Shared serial-side test data generators (no Spark needed). */
 object TestData {
 
+  /** Bytes the calling thread allocates while it runs `body`. */
+  def allocatedBytes(body: => Unit): Long = {
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    val tid = Thread.currentThread().getId
+    val before = mx.getThreadAllocatedBytes(tid)
+    body
+    mx.getThreadAllocatedBytes(tid) - before
+  }
+
   /** Uniform noise points in [0, 100]^d. */
   def uniform(n: Int, d: Int, seed: Long): Array[Array[Double]] = {
     val rnd = new Random(seed)

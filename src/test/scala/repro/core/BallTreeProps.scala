@@ -44,7 +44,7 @@ object BallTreeProps extends Properties("BallTree") {
         if (t < d1) { i2 = i1; d2 = d1; i1 = j; d1 = t }
         else if (t < d2) { i2 = j; d2 = t }
       }
-      val b = idx.nearest(q, 2, d2 + 1e-9)
+      val b = idx.nearest(q, 2, d2 + 1e-9, new Best2(0.0))
       b.i1 == i1 && b.i2 == i2 && math.abs(b.d2 - d2) < 1e-9
     }
   }

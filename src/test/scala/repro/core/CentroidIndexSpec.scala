@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestData
 import scala.util.Random
 
 class CentroidIndexSpec extends AnyFunSuite {
@@ -26,10 +27,11 @@ class CentroidIndexSpec extends AnyFunSuite {
     for (k <- Seq(2, 5, 17, 100); d <- Seq(2, 3, 6)) {
       val cs = centroids(k, d, k * 10 + d)
       val idx = new CentroidIndex(cs, 8, new DistanceCounter)
+      val out = new Best2(0.0)
       (1 to 50).foreach { _ =>
         val q = Array.fill(d)(rnd.nextDouble() * 50)
         val (bi, bd) = brute2(cs, q) match { case (i1, d1, _, _) => (i1, d1) }
-        val b = idx.nearest(q, 1, Double.PositiveInfinity)
+        val b = idx.nearest(q, 1, Double.PositiveInfinity, out)
         assert(b.i1 == bi && math.abs(b.d1 - bd) < 1e-9, s"k=$k d=$d")
       }
     }
@@ -40,10 +42,11 @@ class CentroidIndexSpec extends AnyFunSuite {
     for (k <- Seq(2, 7, 33, 200); d <- Seq(2, 4)) {
       val cs = centroids(k, d, k * 7 + d)
       val idx = new CentroidIndex(cs, 8, new DistanceCounter)
+      val out = new Best2(0.0)
       (1 to 50).foreach { _ =>
         val q = Array.fill(d)(rnd.nextDouble() * 50)
         val (i1, d1, i2, d2) = brute2(cs, q)
-        val b = idx.nearest(q, 2, Double.PositiveInfinity)
+        val b = idx.nearest(q, 2, Double.PositiveInfinity, out)
         assert(b.i1 == i1 && b.i2 == i2, s"k=$k d=$d got (${b.i1},${b.i2}) want ($i1,$i2)")
         assert(math.abs(b.d1 - d1) < 1e-9 && math.abs(b.d2 - d2) < 1e-9)
       }
@@ -54,14 +57,15 @@ class CentroidIndexSpec extends AnyFunSuite {
     val rnd = new Random(3)
     val cs = centroids(60, 3, 11)
     val idx = new CentroidIndex(cs, 8, new DistanceCounter)
+    val out = new Best2(0.0)
     (1 to 100).foreach { _ =>
       val q = Array.fill(3)(rnd.nextDouble() * 50)
       val (i1, d1, i2, d2) = brute2(cs, q)
       // any ub >= true distance is valid; try tight and loose
       for (slack <- Seq(0.0, 0.1, 5.0)) {
-        val b = idx.nearest(q, 2, d2 + slack + 1e-12)
+        val b = idx.nearest(q, 2, d2 + slack + 1e-12, out)
         assert(b.i1 == i1 && b.i2 == i2 && math.abs(b.d2 - d2) < 1e-9)
-        val b1 = idx.nearest(q, 1, d1 + slack + 1e-12)
+        val b1 = idx.nearest(q, 1, d1 + slack + 1e-12, out)
         assert(b1.i1 == i1 && math.abs(b1.d1 - d1) < 1e-9)
       }
     }
@@ -71,10 +75,11 @@ class CentroidIndexSpec extends AnyFunSuite {
     val rnd = new Random(4)
     val cs = centroids(40, 2, 12)
     val idx = new CentroidIndex(cs, 8, new DistanceCounter)
+    val out = new Best2(0.0)
     for (want <- Seq(1, 2); _ <- 1 to 50) {
       val q = Array.fill(2)(rnd.nextDouble() * 50)
       val (i1, d1, i2, d2) = brute2(cs, q)
-      val b = idx.nearest(q, want, d1 / 2) // below even the 1-NN distance
+      val b = idx.nearest(q, want, d1 / 2, out) // below even the 1-NN distance
       assert(b.i1 == i1 && math.abs(b.d1 - d1) < 1e-9, s"want=$want")
       if (want == 2) assert(b.i2 == i2 && math.abs(b.d2 - d2) < 1e-9)
     }
@@ -84,12 +89,13 @@ class CentroidIndexSpec extends AnyFunSuite {
     val rnd = new Random(5)
     val cs = centroids(50, 3, 13)
     val idx = new CentroidIndex(cs, 8, new DistanceCounter)
+    val out = new Best2(0.0)
     for (want <- Seq(1, 2); _ <- 1 to 50) {
       val q = Array.fill(3)(rnd.nextDouble() * 50)
       val (i1, d1, i2, d2) = brute2(cs, q)
       val seedId = rnd.nextInt(50)
       val seedDist = Vec.dist(q, cs(seedId))
-      val b = idx.nearest(q, want, (if (want == 1) d1 else d2) + 1e-9, seedId, seedDist)
+      val b = idx.nearest(q, want, (if (want == 1) d1 else d2) + 1e-9, out, seedId, seedDist)
       assert(b.i1 == i1, s"want=$want")
       if (want == 2) assert(b.i2 == i2)
     }
@@ -98,8 +104,9 @@ class CentroidIndexSpec extends AnyFunSuite {
   test("self-seeded 2-NN yields the nearest-other distance (inter bound)") {
     val cs = centroids(30, 2, 14)
     val idx = new CentroidIndex(cs, 4, new DistanceCounter)
+    val out = new Best2(0.0)
     cs.indices.foreach { j =>
-      val b = idx.nearest(cs(j), 2, Double.PositiveInfinity, seedId = j, seedDist = 0.0)
+      val b = idx.nearest(cs(j), 2, Double.PositiveInfinity, out, seedId = j, seedDist = 0.0)
       val trueMin = cs.indices.filter(_ != j).map(o => Vec.dist(cs(j), cs(o))).min
       assert(b.i1 == j && math.abs(b.d2 - trueMin) < 1e-9)
     }
@@ -111,9 +118,10 @@ class CentroidIndexSpec extends AnyFunSuite {
     val counter = new DistanceCounter
     val idx = new CentroidIndex(cs, 16, counter)
     counter.count = 0
+    val out = new Best2(0.0)
     (1 to 100).foreach { _ =>
       val q = Array.fill(3)(rnd.nextDouble() * 50)
-      idx.nearest(q, 2, Double.PositiveInfinity)
+      idx.nearest(q, 2, Double.PositiveInfinity, out)
     }
     assert(counter.count < 100L * 500, s"kNN did no pruning: ${counter.count}")
   }
@@ -121,24 +129,21 @@ class CentroidIndexSpec extends AnyFunSuite {
   test("k=2 degenerate index works") {
     val cs = Array(Array(0.0, 0.0), Array(10.0, 0.0))
     val idx = new CentroidIndex(cs, 4, new DistanceCounter)
-    val b = idx.nearest(Array(1.0, 0.0), 2, Double.PositiveInfinity)
+    val b = idx.nearest(Array(1.0, 0.0), 2, Double.PositiveInfinity, new Best2(0.0))
     assert(b.i1 == 0 && b.i2 == 1)
   }
 
-  test("a 2-NN search allocates only its result queue") {
+  test("a search into a caller-owned queue allocates nothing") {
     val rnd = new Random(7)
     val cs = centroids(500, 3, 16)
     val idx = new CentroidIndex(cs, 16, new DistanceCounter)
     val qs = Array.fill(2000)(Array.fill(3)(rnd.nextDouble() * 50))
-    val mx = java.lang.management.ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
-    val tid = Thread.currentThread().getId
+    val out = new Best2(0.0)
     var sink = 0
-    def round(): Unit = { var i = 0; while (i < qs.length) { sink += idx.nearest(qs(i), 2, Double.PositiveInfinity).i2; i += 1 } }
+    def round(): Unit = { var i = 0; while (i < qs.length) { sink += idx.nearest(qs(i), 2, Double.PositiveInfinity, out).i2; i += 1 } }
     round() // warm-up
-    val before = mx.getThreadAllocatedBytes(tid)
-    round()
-    val perSearch = (mx.getThreadAllocatedBytes(tid) - before).toDouble / qs.length
+    val perSearch = TestData.allocatedBytes(round()).toDouble / qs.length
     assert(sink != 0)
-    assert(perSearch < 256, f"$perSearch%.0f bytes allocated per search")
+    assert(perSearch < 8, f"$perSearch%.0f bytes allocated per search")
   }
 }

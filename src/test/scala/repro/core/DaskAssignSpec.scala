@@ -107,6 +107,23 @@ class DaskAssignSpec extends AnyFunSuite {
     assert(a.materialize().sameElements(solo.materialize()))
   }
 
+  test("a step with the index and inter bounds allocates no queue per search") {
+    val k = 200
+    val (_, state, cs) = fixture(20000, k, 10)
+    val counter = new DistanceCounter
+    val index0 = new CentroidIndex(cs, 16, counter)
+    val cb = DaskAssign.interBounds(cs, index0, first = true, new Array[Double](k), new Array[Double](k), counter)
+    DaskAssign.step(state, cs, cb, index0, counter) // warm-up
+    val drifts = new Array[Double](k)
+    val next = state.refine(cs, drifts)
+    val index = new CentroidIndex(next, 16, counter)
+    val nextCb = DaskAssign.interBounds(next, index, first = false, cb, drifts, counter)
+    val distancesBefore = counter.count
+    val allocated = TestData.allocatedBytes(DaskAssign.step(state, next, nextCb, index, counter))
+    assert(counter.count - distancesBefore > 10000, "the step did too little work to measure")
+    assert(allocated < 64 * 1024, s"$allocated bytes allocated by one step")
+  }
+
   test("k=1 short-circuits to a single batch assignment") {
     val (data, state, _) = fixture(200, 1, 6)
     val counter = new DistanceCounter

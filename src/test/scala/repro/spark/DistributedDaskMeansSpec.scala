@@ -1,10 +1,13 @@
 package repro.spark
 
+import org.apache.spark.ListenerBusAccess
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SparkSpec
 import repro.baselines.Lloyd
 import repro.core.{KMeans, Vec}
 import repro.spatial.SpatialData
 
+import java.util.concurrent.atomic.AtomicInteger
 import scala.reflect.ClassTag
 
 class DistributedDaskMeansSpec extends SparkSpec {
@@ -226,6 +229,23 @@ class DistributedDaskMeansSpec extends SparkSpec {
       ("Argo-AVL", 4000, 15, 4, 6, 6L) -> (6, 13709L, -2005940573, 1014948673, 205392L),
     )
     got.foreach { case (key, out) => assert(out == pinned(key), key) }
+  }
+
+  test("a fit runs one job per assignment phase plus the repartition's shuffle") {
+    val (df, data) = fixture(3000)
+    val init = KMeans.initCentroids(data, 10, 5L)
+    val sc = spark.sparkContext
+    val jobs = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    }
+    ListenerBusAccess.drain(sc) // earlier jobs' events must not reach the listener
+    sc.addSparkListener(listener)
+    val fitted =
+      try DistributedDaskMeans.fit(df, 10, 10, numPartitions = 4, init = Some(init))
+      finally { ListenerBusAccess.drain(sc); sc.removeSparkListener(listener) }
+    try assert(jobs.get == fitted.iterations + 1, s"${jobs.get} jobs for ${fitted.iterations} assignment phases")
+    finally DistributedDaskMeans.cleanup(fitted)
   }
 
   test("sse agrees with a serial computation") {
