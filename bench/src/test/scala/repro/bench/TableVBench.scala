@@ -1,7 +1,8 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.tables.{TableIV, TableV}
+import repro.spatial.SpatialData
+import repro.tables.TableIV
 
 /** Reproduces Table V: pruning power on the high-dimensional (128-d /
   * 256-d) embedded-trajectory substitutes. Scale is reduced further than
@@ -11,8 +12,9 @@ import repro.tables.{TableIV, TableV}
   */
 class TableVBench extends SparkSpec {
 
-  private lazy val rows = TableV.run(
+  private lazy val rows = TableIV.run(
     spark,
+    SpatialData.highDimDatasets,
     n = 10_000L,
     ks = Seq(50, 200, 500),
     maxIters = 8,
@@ -22,7 +24,7 @@ class TableVBench extends SparkSpec {
     r.cells.find(_.algorithm == algo).get.runtimeSec
 
   test("produce and record Table V") {
-    BenchOut.write("table_v.txt", TableV.render(rows))
+    BenchOut.write("table_v.txt", TableIV.render(rows))
     assert(rows.size == 6)
   }
 

@@ -54,8 +54,8 @@ object TableVJob {
     val n = conf.getOrElse("n", "10000").toLong
     val ks = conf.getOrElse("ks", "50,200,500").split(",").map(_.trim.toInt).toSeq
     val iters = conf.getOrElse("maxIters", "8").toInt
-    val rows = TableV.run(spark, n, ks, iters)
-    JobSpark.emit(TableV.render(rows), conf)
+    val rows = TableIV.run(spark, SpatialData.highDimDatasets, n, ks, iters)
+    JobSpark.emit(TableIV.render(rows), conf)
     spark.stop()
   }
 }

@@ -1,5 +1,6 @@
 package repro.competitors
 
+import repro.estimator.{LinAlg, RuntimeModel}
 import scala.util.Random
 
 /** The DisNet baseline [20] as configured in §VI-A: a fully-connected
@@ -15,8 +16,6 @@ final class DisNet(
     val learningRate: Double = 1e-4,
     seed: Long = 29L,
 ) extends RuntimeModel {
-  override def name: String = "DisNet"
-
   private var w1: Array[Array[Double]] = _
   private var b1: Array[Double] = _
   private var w2: Array[Array[Double]] = _
@@ -30,9 +29,7 @@ final class DisNet(
     require(xs.nonEmpty && xs.length == ys.length, "need matching samples")
     val rnd = new Random(seed)
     val nf = xs(0).length
-    xScale = Array.tabulate(nf) { i =>
-      val m = xs.map(r => math.abs(r(i))).max; if (m < 1e-12) 1.0 else m
-    }
+    xScale = LinAlg.maxAbsScales(xs)
     yScale = math.max(1e-12, ys.map(math.abs).max)
     val sx = xs.map(r => Array.tabulate(nf)(i => r(i) / xScale(i)))
     val sy = ys.map(_ / yScale)

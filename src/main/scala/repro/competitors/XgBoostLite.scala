@@ -1,5 +1,6 @@
 package repro.competitors
 
+import repro.estimator.RuntimeModel
 import scala.util.Random
 
 /** Gradient-boosted regression trees reproducing the paper's XGBoost
@@ -15,8 +16,6 @@ final class XgBoostLite(
     val minSamplesLeaf: Int = 2,
     seed: Long = 13L,
 ) extends RuntimeModel {
-  override def name: String = "XGBoost"
-
   private sealed trait Node
   private final case class Leaf(value: Double) extends Node
   private final case class Split(feature: Int, threshold: Double, left: Node, right: Node) extends Node

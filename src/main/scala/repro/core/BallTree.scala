@@ -33,17 +33,15 @@ final class BallNode(
   def isLeaf: Boolean = left == null
 }
 
-/** Structural summary of a tree — used as cost-estimator meta-features and
-  * by the memory meter.
+/** Structural summary of a tree: the cost estimator's index meta-features
+  * (`TaskFeatures.fromIndex`).
   */
 final case class TreeStats(
     depth: Int,
     leafNodes: Int,
     internalNodes: Int,
     avgLeafFill: Double,
-) {
-  def nodes: Int = leafNodes + internalNodes
-}
+)
 
 /** Ball-tree construction: split a node by the two mutually-farthest points
   * and assign each vector to the closer of the two, recursing until a node

@@ -1,51 +1,13 @@
 package repro.estimator
 
-/** The paper's lightweight cost estimator (§V): memory via the closed-form
-  * index model, runtime as (predicted iteration count) × (per-iteration
-  * polynomial regressor), optionally adjusted online with the asymmetric-
-  * kernel GP as actual iteration runtimes stream in.
+/** The paper's lightweight runtime estimator (§V-B): (predicted iteration
+  * count) × (per-iteration polynomial regressor), optionally adjusted
+  * online with the asymmetric-kernel GP as actual iteration runtimes stream
+  * in. Its memory side is the closed form in `MemoryEstimator`.
   */
-final class CostEstimator(
-    val q: Int,
-    val degree: Int = 4,
-    val interactions: Boolean = true,
-    val sigma: Double = 50.0,
-) {
-  val iterationPredictor = new IterationPredictor(q)
-  val runtimeRegressor = new PolyRegressor(degree, interactions)
-  val gp = new GpAdjuster(sigma)
-  private var fitted = false
-
-  /** Memory prediction (Eq. 11) in bytes. */
-  def estimateMemoryBytes(n: Long, k: Long, d: Long, f: Long): Long =
-    MemoryEstimator.daskMeansExtraBytes(n, k, d, f)
-
-  /** One pass over the sample set fits both regressors (the paper's point:
-    * no epoch-based training).
-    */
-  def fit(samples: Array[TaskSample]): this.type = {
-    require(samples.nonEmpty, "need samples")
-    iterationPredictor.fit(
-      samples.map(_.features.iterationVector),
-      samples.map(_.iterations),
-    )
-    val xs = samples.flatMap(s => s.iterRuntimesMs.indices.map(i => s.features.runtimeVector(i + 1)))
-    val ys = samples.flatMap(_.iterRuntimesMs)
-    runtimeRegressor.fit(xs, ys)
-    fitted = true
-    this
-  }
-
-  /** Per-iteration runtime prediction ŷ_1..ŷ_v for a task (v = predicted
-    * iteration count); Eq. 13 sums it into the total.
-    */
-  def predictIterRuntimes(features: TaskFeatures): Array[Double] = {
-    require(fitted, "fit before predict")
-    val v = iterationPredictor.predict(features.iterationVector)
-    Array.tabulate(v)(i => math.max(0.0, runtimeRegressor.predict(features.runtimeVector(i + 1))))
-  }
-
-  def predictTotalMs(features: TaskFeatures): Double = predictIterRuntimes(features).sum
+final class CostEstimator(q: Int, degree: Int = 4, interactions: Boolean = true, sigma: Double = 50.0)
+    extends PerIteration(new PolyRegressor(degree, interactions), q) {
+  private val gp = new GpAdjuster(sigma)
 
   /** Remaining-runtime monitor (§V-B2): with actual runtimes of completed
     * iterations, returns the adjusted estimate of the task total.

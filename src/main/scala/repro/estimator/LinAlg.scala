@@ -85,6 +85,15 @@ object LinAlg {
     }
   }
 
+  /** Each column's max |x|, or 1 for a (numerically) all-zero column:
+    * dividing by it scales the features into [-1, 1].
+    */
+  def maxAbsScales(xs: Array[Array[Double]]): Array[Double] =
+    Array.tabulate(xs(0).length) { i =>
+      val m = xs.map(r => math.abs(r(i))).max
+      if (m < 1e-12) 1.0 else m
+    }
+
   def dot(a: Array[Double], b: Array[Double]): Double = {
     var s = 0.0; var i = 0
     while (i < a.length) { s += a(i) * b(i); i += 1 }

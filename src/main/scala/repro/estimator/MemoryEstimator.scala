@@ -62,8 +62,4 @@ object MemoryEstimator {
     }
     None
   }
-
-  /** Convenience: budget given in megabytes. */
-  def leafCapacityForBytes(n: Long, k: Long, d: Long, budgetBytes: Long): Option[Int] =
-    leafCapacityFor(n, k, d, budgetBytes / 8)
 }

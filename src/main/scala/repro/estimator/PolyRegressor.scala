@@ -8,8 +8,12 @@ package repro.estimator
   * Feature"). Features are max-scaled before exponentiation so high degrees
   * stay conditioned; the system is solved by least squares with a tiny
   * ridge term for numerical stability at high degree.
+  *
+  * At `degree = 1, interactions = false, ridge = 0.1` the basis is
+  * [1, x_i / scale_i]: the regularised linear model of the paper's "AutoML"
+  * baseline [43] as configured in §VI-A.
   */
-final class PolyRegressor(val degree: Int, val interactions: Boolean, val ridge: Double = 1e-4) {
+final class PolyRegressor(val degree: Int, val interactions: Boolean, val ridge: Double = 1e-4) extends RuntimeModel {
   require(degree >= 1, "degree must be >= 1")
 
   private var exponents: Array[Array[Int]] = _
@@ -56,14 +60,11 @@ final class PolyRegressor(val degree: Int, val interactions: Boolean, val ridge:
     row
   }
 
-  def fit(xs: Array[Array[Double]], ys: Array[Double]): this.type = {
+  override def fit(xs: Array[Array[Double]], ys: Array[Double]): this.type = {
     require(xs.nonEmpty && xs.length == ys.length, "need matching samples")
     val nf = xs(0).length
     exponents = buildExponents(nf)
-    scales = Array.tabulate(nf) { i =>
-      val m = xs.map(r => math.abs(r(i))).max
-      if (m < 1e-12) 1.0 else m
-    }
+    scales = LinAlg.maxAbsScales(xs)
     val design = xs.map(expand)
     // a small ridge keeps high-degree monomial bases conditioned without
     // noticeably biasing the fit (features are max-scaled to ~[0,1])
@@ -71,7 +72,7 @@ final class PolyRegressor(val degree: Int, val interactions: Boolean, val ridge:
     this
   }
 
-  def predict(x: Array[Double]): Double = {
+  override def predict(x: Array[Double]): Double = {
     require(beta != null, "fit before predict")
     LinAlg.dot(expand(x), beta)
   }

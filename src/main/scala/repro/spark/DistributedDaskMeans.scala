@@ -178,12 +178,11 @@ object DistributedDaskMeans {
 
   /** Final per-point assignments of a finished run as a DataFrame
     * `(id, cluster)`, partitioned as the run was; requires the run's cached
-    * partition state (call before [[cleanup]]). Falls back to a broadcast
+    * partition state (call before [[cleanup]]). Falls back to a
     * nearest-centroid pass for partitions whose cache entry is gone.
     */
   def assignments(df: DataFrame, fitted: FitResult, leafCapacity: Int = 30): DataFrame = {
     val spark = df.sparkSession
-    val bc = spark.sparkContext.broadcast(fitted.centroids)
     import spark.implicits._
     df.select("id", "features")
       .repartition(fitted.numPartitions, col("id"))
@@ -198,10 +197,10 @@ object DistributedDaskMeans {
               val id = r.getLong(0)
               val i = byId.getOrDefault(id, -1)
               if (i >= 0) (id, a(i))
-              else (id, Vec.nearest(r.getSeq[Double](1).toArray, bc.value))
+              else (id, Vec.nearest(r.getSeq[Double](1).toArray, fitted.centroids))
             }
           case _ =>
-            rows.map(r => (r.getLong(0), Vec.nearest(r.getSeq[Double](1).toArray, bc.value)))
+            rows.map(r => (r.getLong(0), Vec.nearest(r.getSeq[Double](1).toArray, fitted.centroids)))
         }
       }
       .toDF("id", "cluster")
@@ -211,14 +210,9 @@ object DistributedDaskMeans {
 
   /** Sum of squared errors of a fitted model over the frame. */
   def sse(df: DataFrame, centroids: Array[Array[Double]]): Double = {
-    val spark = df.sparkSession
-    val bc = spark.sparkContext.broadcast(centroids)
-    import spark.implicits._
+    import df.sparkSession.implicits._
     df.select("features").as[Array[Double]]
-      .map { p =>
-        val cs = bc.value
-        Vec.dist2(p, cs(Vec.nearest(p, cs)))
-      }
+      .map(p => Vec.dist2(p, centroids(Vec.nearest(p, centroids))))
       .reduce(_ + _)
   }
 }

@@ -14,7 +14,8 @@ object MllibLloyd {
     * no centroid moves).
     */
   def fit(df: DataFrame, init: Array[Array[Double]], maxIters: Int): Array[Array[Double]] = {
-    val vectors = df.select("features").rdd.map(r => Vectors.dense(r.getSeq[Double](0).toArray))
+    import df.sparkSession.implicits._
+    val vectors = df.select("features").as[Array[Double]].rdd.map(a => Vectors.dense(a))
     new MlKMeans()
       .setK(init.length)
       .setInitialModel(new KMeansModel(init.map(Vectors.dense)))

@@ -11,7 +11,7 @@ object AlgoSuite {
   /** Paper column order: Lloyd, NoBound, Dual-tree, Hamerly, Drake,
     * Yinyang, Elkan, NoInB, NokNN, Dask-means.
     */
-  def algorithms(leafCapacity: Int = 30): Seq[KMeansAlgo] = Seq(
+  def algorithms(): Seq[KMeansAlgo] = Seq(
     new Lloyd,
     new NoBound,
     new DualTree(leafCapacity = 8),
@@ -19,12 +19,12 @@ object AlgoSuite {
     new Drake,
     new Yinyang,
     new Elkan,
-    new DaskMeans(useKnn = true, useInterBound = false, leafCapacity = leafCapacity),  // NoInB
-    new DaskMeans(useKnn = false, useInterBound = true, leafCapacity = leafCapacity),  // NokNN
-    new DaskMeans(useKnn = true, useInterBound = true, leafCapacity = leafCapacity),   // Dask-means
+    new DaskMeans(useInterBound = false),  // NoInB
+    new DaskMeans(useKnn = false),         // NokNN
+    new DaskMeans(),                       // Dask-means
   )
 
-  /** Default device memory gate in float slots (≈1.6 GB): the scaled stand-
+  /** The device memory gate in float slots (≈1.6 GB): the scaled stand-
     * in for the paper's resource-constrained device — Elkan's n·k bounds
     * and Drake's n·k/4 candidate lists blow through it at large k exactly
     * as in the paper's N/A cells.
@@ -41,8 +41,8 @@ object AlgoSuite {
       memoryFloats: Long,
   )
 
-  /** Run every algorithm on one (data, k) setting from a shared init; a
-    * `None` runtime is an N/A produced by the memory gate. Also
+  /** Run every algorithm on one (data, k) setting from a shared init (seed
+    * 17); a `None` runtime is an N/A produced by the memory gate. Also
     * cross-checks that all completed algorithms converged to the same SSE
     * (they are exact accelerations of Lloyd).
     */
@@ -50,18 +50,15 @@ object AlgoSuite {
       data: Array[Array[Double]],
       k: Int,
       maxIters: Int,
-      gateFloats: Long = DefaultGateFloats,
-      leafCapacity: Int = 30,
-      seed: Long = 17L,
       verifyExactness: Boolean = true,
       repeats: Int = 1,
   ): Seq[Cell] = {
     val n = data.length.toLong
     val d = data(0).length.toLong
-    val init = KMeans.initCentroids(data, k, seed)
-    val cells = algorithms(leafCapacity).map { algo =>
+    val init = KMeans.initCentroids(data, k, 17L)
+    val cells = algorithms().map { algo =>
       val mem = algo.extraMemoryFloats(n, k.toLong, d)
-      if (mem > gateFloats)
+      if (mem > DefaultGateFloats)
         Cell(algo.name, None, 0.0, 0, 0L, Double.NaN, mem)
       else {
         // best-of-`repeats`: the runs are deterministic and identical in

@@ -4,8 +4,8 @@ import org.apache.spark.sql.SparkSession
 import repro.spatial.SpatialData
 
 /** Table IV: total runtime of the ten k-means algorithms on the six
-  * low-dimensional datasets across k. (Table V is the same harness over
-  * the high-dimensional datasets.)
+  * low-dimensional datasets across k. Table V is the same runner over
+  * `SpatialData.highDimDatasets`.
   */
 object TableIV {
 
@@ -17,8 +17,6 @@ object TableIV {
       n: Long,
       ks: Seq[Int],
       maxIters: Int,
-      gateFloats: Long = AlgoSuite.DefaultGateFloats,
-      leafCapacity: Int = 30,
   ): Seq[Row] = {
     AlgoSuite.warmUp()
     datasets.flatMap { name =>
@@ -26,7 +24,7 @@ object TableIV {
       ks.map { k =>
         // cheap cells (small k) are noise-dominated: measure best-of-2
         val repeats = if (k <= 1000) 2 else 1
-        Row(name, k, AlgoSuite.runAll(data, k, maxIters, gateFloats, leafCapacity, repeats = repeats))
+        Row(name, k, AlgoSuite.runAll(data, k, maxIters, repeats = repeats))
       }
     }
   }

@@ -1,7 +1,8 @@
 package repro.competitors
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.estimator.{Metrics, TaskFeatures, TaskSample}
+import repro.estimator.{Metrics, PerIteration, TaskFeatures, TaskSample}
+import repro.tables.TableVIII
 import scala.util.Random
 
 class CompetitorSpec extends AnyFunSuite {
@@ -13,14 +14,16 @@ class CompetitorSpec extends AnyFunSuite {
     (xs, ys)
   }
 
+  private def autoMl() = TableVIII.competitors.toMap.apply("AutoML")()
+
   private def meanBaselineMse(ys: Array[Double]): Double = {
     val m = ys.sum / ys.length
     Metrics.mse(ys, ys.map(_ => m))
   }
 
-  test("RidgeRegressor fits a linear relation") {
+  test("AutoML fits a linear relation") {
     val (xs, ys) = linearData(300, 1)
-    val m = new RidgeRegressor().fit(xs, ys)
+    val m = autoMl().fit(xs, ys)
     assert(Metrics.mse(ys, xs.map(m.predict)) < meanBaselineMse(ys) / 50)
   }
 
@@ -47,10 +50,7 @@ class CompetitorSpec extends AnyFunSuite {
   }
 
   test("model names match the paper's labels") {
-    assert(new RidgeRegressor().name == "AutoML")
-    assert(new XgBoostLite().name == "XGBoost")
-    assert(new DisNet().name == "DisNet")
-    assert(new PerIteration(new RidgeRegressor(), 5).name == "S-AutoML")
+    assert(TableVIII.competitors.map(_._1) == Seq("XGBoost", "DisNet", "AutoML"))
   }
 
   private def samplesFor(count: Int, q: Int, seed: Long): Array[TaskSample] = {
@@ -67,16 +67,16 @@ class CompetitorSpec extends AnyFunSuite {
 
   test("fitTotals/predictTotal round trip") {
     val samples = samplesFor(120, 8, 5)
-    val m = new RidgeRegressor().fitTotals(samples)
+    val m = autoMl().fitTotals(samples)
     val w = Metrics.wmape(samples.map(_.totalMs), samples.map(s => m.predictTotal(s.features)))
     assert(w < 0.6, s"wmape=$w")
   }
 
   test("PerIteration wrapper predicts by summing per-iteration estimates") {
     val samples = samplesFor(150, 8, 6)
-    val m = new PerIteration(new RidgeRegressor(), 8).fit(samples)
-    val w = Metrics.wmape(samples.map(_.totalMs), samples.map(s => m.predictTotal(s.features)))
+    val m = new PerIteration(autoMl(), 8).fit(samples)
+    val w = Metrics.wmape(samples.map(_.totalMs), samples.map(s => m.predictTotalMs(s.features)))
     assert(w < 0.6, s"wmape=$w")
-    samples.take(10).foreach(s => assert(m.predictTotal(s.features) >= 0.0))
+    samples.take(10).foreach(s => assert(m.predictTotalMs(s.features) >= 0.0))
   }
 }

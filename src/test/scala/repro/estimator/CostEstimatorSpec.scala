@@ -1,6 +1,7 @@
 package repro.estimator
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.competitors.{DisNet, XgBoostLite}
 import scala.util.Random
 
 class CostEstimatorSpec extends AnyFunSuite {
@@ -50,12 +51,6 @@ class CostEstimatorSpec extends AnyFunSuite {
     assert(wI <= wB * 1.1, s"interaction=$wI basic=$wB")
   }
 
-  test("memory estimate delegates to Eq. 11") {
-    val est = new CostEstimator(5)
-    assert(est.estimateMemoryBytes(1000, 10, 3, 30) ==
-      MemoryEstimator.daskMeansExtraBytes(1000, 10, 3, 30))
-  }
-
   test("per-iteration predictions are non-negative and length = predicted v") {
     val all = syntheticSamples(100, 8, 3)
     val est = new CostEstimator(8).fit(all)
@@ -95,5 +90,67 @@ class CostEstimatorSpec extends AnyFunSuite {
 
   test("fit on an empty sample set is rejected") {
     intercept[IllegalArgumentException](new CostEstimator(5).fit(Array.empty))
+  }
+
+  test("predictions are pinned bit for bit") {
+    val all = syntheticSamples(120, 10, 7)
+    val (train, test) = all.splitAt(96)
+    def bits(xs: Array[Double]): Int = java.util.Arrays.hashCode(xs.map(java.lang.Double.doubleToLongBits))
+    val estimators = for (interactions <- Seq(false, true); beta <- 1 to 6) yield {
+      val est = new CostEstimator(10, degree = beta, interactions = interactions).fit(train)
+      val label = s"beta=$beta ${if (interactions) "interaction" else "basic"}"
+      Seq(s"$label total" -> bits(test.map(s => est.predictTotalMs(s.features))),
+        s"$label iter" -> bits(test.flatMap(s => est.predictIterRuntimes(s.features))))
+    }
+    val adjusted = {
+      val est = new CostEstimator(10).fit(train)
+      "adjusted" -> bits(test.map(s => est.adjustedTotalMs(s.features, s.iterRuntimesMs.take(2))))
+    }
+    val competitors = Seq[(String, () => RuntimeModel)](
+      "XGBoost" -> (() => new XgBoostLite), "DisNet" -> (() => new DisNet(epochs = 5)),
+      "AutoML" -> (() => new PolyRegressor(degree = 1, interactions = false, ridge = 0.1))).flatMap { case (label, model) =>
+      val whole = model().fitTotals(train)
+      val perIter = new PerIteration(model(), 10).fit(train)
+      Seq(label -> bits(test.map(s => whole.predictTotal(s.features))),
+        s"S-$label" -> bits(test.map(s => perIter.predictTotalMs(s.features))))
+    }
+    val got = (estimators.flatten :+ adjusted) ++ competitors
+    // Recorded before the estimator and its baselines shared one
+    // per-iteration predictor: hash of each prediction vector's bits.
+    val pinned = Map(
+      "beta=1 basic total" -> -856999139,
+      "beta=1 basic iter" -> -891007782,
+      "beta=2 basic total" -> 1534095199,
+      "beta=2 basic iter" -> -1177578020,
+      "beta=3 basic total" -> 1938609683,
+      "beta=3 basic iter" -> 248193532,
+      "beta=4 basic total" -> 2144337668,
+      "beta=4 basic iter" -> -1512721671,
+      "beta=5 basic total" -> 378400087,
+      "beta=5 basic iter" -> 1091486098,
+      "beta=6 basic total" -> 742814595,
+      "beta=6 basic iter" -> -1104741811,
+      "beta=1 interaction total" -> -312943117,
+      "beta=1 interaction iter" -> -844543230,
+      "beta=2 interaction total" -> 1577552968,
+      "beta=2 interaction iter" -> 1789855572,
+      "beta=3 interaction total" -> -1772105881,
+      "beta=3 interaction iter" -> 1114582814,
+      "beta=4 interaction total" -> 521208589,
+      "beta=4 interaction iter" -> -1875069479,
+      "beta=5 interaction total" -> -308076527,
+      "beta=5 interaction iter" -> -1155614075,
+      "beta=6 interaction total" -> 1092400897,
+      "beta=6 interaction iter" -> -1540637950,
+      "adjusted" -> 2098036268,
+      "XGBoost" -> 979822336,
+      "S-XGBoost" -> 1824254944,
+      "DisNet" -> -622759710,
+      "S-DisNet" -> -589521674,
+      "AutoML" -> 648986913,
+      "S-AutoML" -> 1466924379,
+    )
+    assert(got.map(_._1).toSet == pinned.keySet)
+    got.foreach { case (key, h) => assert(h == pinned(key), key) }
   }
 }
