@@ -16,9 +16,7 @@ final class XgBoostLite(
     val minSamplesLeaf: Int = 2,
     seed: Long = 13L,
 ) extends RuntimeModel {
-  private sealed trait Node
-  private final case class Leaf(value: Double) extends Node
-  private final case class Split(feature: Int, threshold: Double, left: Node, right: Node) extends Node
+  import XgBoostLite._
 
   private var trees: List[Node] = Nil
   private var base: Double = 0.0
@@ -96,4 +94,10 @@ final class XgBoostLite(
 
   override def predict(x: Array[Double]): Double =
     base + learningRate * trees.map(evalTree(_, x)).sum
+}
+
+object XgBoostLite {
+  private sealed trait Node
+  private final case class Leaf(value: Double) extends Node
+  private final case class Split(feature: Int, threshold: Double, left: Node, right: Node) extends Node
 }

@@ -81,8 +81,8 @@ trait KMeansAlgo {
     require(data.nonEmpty, "need at least one data point")
     require(init.length == k, s"need k=$k initial centroids, got ${init.length}")
     require(k >= 1 && k <= data.length, s"need 1 <= k <= n, got k=$k n=${data.length}")
-    require(data.forall(_.forall(java.lang.Double.isFinite)), "data has a NaN or infinite coordinate")
-    require(init.forall(_.forall(java.lang.Double.isFinite)), "initial centroids have a NaN or infinite coordinate")
+    require(Vec.allFinite(data), "data has a NaN or infinite coordinate")
+    require(Vec.allFinite(init), "initial centroids have a NaN or infinite coordinate")
     val t0 = System.nanoTime()
     val counter = new DistanceCounter
     val state = start(data, k, init, counter)

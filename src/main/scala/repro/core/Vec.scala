@@ -29,6 +29,19 @@ object Vec {
     best
   }
 
+  /** Whether every coordinate of every vector is finite (neither NaN nor
+    * infinite); a primitive loop, so no coordinate is boxed.
+    */
+  def allFinite(vs: Array[Array[Double]]): Boolean = {
+    var j = 0
+    while (j < vs.length) {
+      val v = vs(j); var i = 0
+      while (i < v.length) { if (!java.lang.Double.isFinite(v(i))) return false; i += 1 }
+      j += 1
+    }
+    true
+  }
+
   /** In-place a += b. */
   def addInto(a: Array[Double], b: Array[Double]): Unit = {
     var i = 0; while (i < a.length) { a(i) += b(i); i += 1 }

@@ -2,11 +2,13 @@ package repro.spark
 
 import org.apache.spark.TaskContext
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions._
 
 import repro.core._
 
 import scala.collection.concurrent.TrieMap
+import scala.collection.mutable.ArrayBuilder
 
 /** Executor-local cache of per-partition Ball-trees and assignment state.
   *
@@ -17,8 +19,9 @@ import scala.collection.concurrent.TrieMap
   * in the serial algorithm. Keys are (runId, partitionId); entries are
   * dropped explicitly when a run finishes. Works wherever executor JVMs
   * are stable across stages (local mode and standalone executors). Only
-  * the first assignment job reads a partition's rows; later jobs find the
-  * entry and reuse the shuffle without reading them.
+  * the job that builds the entry (the first of the fit) reads a
+  * partition's rows; later jobs find the entry and reuse the shuffle
+  * without reading them.
   */
 object PartitionIndexCache {
   final class Entry(
@@ -63,25 +66,29 @@ object DistributedDaskMeans {
       numPartitions: Int,
   )
 
-  /** Deterministic initial centroids: the k rows with the smallest hashed
-    * ids (a seeded pseudo-random sample).
+  /** Deterministic initial centroids: the k rows with the smallest seeded
+    * hashes `xxhash64(id, seed)` of their ids as longs (a seeded
+    * pseudo-random sample), in that order. Rows with equal hashes are
+    * ordered by id, then by their order in `df`. Each partition keeps its own
+    * k smallest and the driver keeps the k smallest of those, the same
+    * selection as the first job of a [[fit]] without `init`.
     */
-  def initialCentroids(df: DataFrame, k: Int, seed: Long): Array[Array[Double]] =
-    df.orderBy(xxhash64(col("id"), lit(seed)))
-      .limit(k)
-      .select("features")
-      .collect()
-      .map(_.getSeq[Double](0).toArray)
+  def initialCentroids(df: DataFrame, k: Int, seed: Long): Array[Array[Double]] = {
+    val rows = hashed(df, seed).queryExecution.toRdd
+    smallest(df.sparkSession.sparkContext.runJob(rows, (it: Iterator[InternalRow]) => Decoded.read(it).smallest(k)), k)
+  }
 
-  /** Fit k-means over `df` (columns `id`, `features`). The input is read
-    * twice without `init` (once for the initial centroids, once by the
-    * shuffle that partitions it by id), otherwise once; later iterations
-    * reuse the shuffle, so the caller should persist `df` only if it is
-    * expensive to recompute. Each assignment phase is one job, with the
-    * centroids and inter bounds in its task rather than in a broadcast
-    * variable. Invalid input fails with the messages of
-    * [[repro.core.KMeansAlgo.run]]. If the fit throws, the run's partition
-    * cache is dropped.
+  /** Fit k-means over `df` (columns `id`, `features`; an integral id and
+    * float or double features, cast to `long` and `array<double>`). The
+    * input is read once: the shuffle that partitions it by id reads it,
+    * later jobs reuse the shuffle, so the caller should persist `df` only
+    * if it is expensive to recompute. Without `init`, the first job builds
+    * each partition's index and picks the [[initialCentroids]]. Each
+    * assignment phase is one job, with the centroids and inter bounds in
+    * its task rather than in a broadcast variable. Invalid input fails
+    * with the messages of [[repro.core.KMeansAlgo.run]], and a null id or
+    * coordinate with "data has a null id" or "data has a null coordinate".
+    * If the fit throws, the run's partition cache is dropped.
     */
   def fit(
       df: DataFrame,
@@ -96,17 +103,12 @@ object DistributedDaskMeans {
     require(k >= 1, s"need 1 <= k <= n, got k=$k")
     init.foreach { cs =>
       require(cs.length == k, s"need k=$k initial centroids, got ${cs.length}")
-      require(cs.forall(_.forall(java.lang.Double.isFinite)), "initial centroids have a NaN or infinite coordinate")
+      require(Vec.allFinite(cs), "initial centroids have a NaN or infinite coordinate")
     }
     val sc = df.sparkSession.sparkContext
     val parts = if (numPartitions > 0) numPartitions else sc.defaultParallelism
-    val start = init.getOrElse(initialCentroids(df, k, seed))
-    require(start.length == k, s"need 1 <= k <= n, got k=$k n=${start.length}")
-    import df.sparkSession.implicits._
-    val rows = df.select("id", "features").repartition(parts, col("id")).as[(Long, Array[Double])].rdd
-
+    val rows = hashed(df, seed).repartition(parts, col("id")).queryExecution.toRdd
     val runId = java.util.UUID.randomUUID().toString
-    val d = start(0).length
     val driverCounter = new DistanceCounter
     var counts: Array[Long] = null
 
@@ -123,7 +125,7 @@ object DistributedDaskMeans {
         // Partition order fixes the order each cluster's sum is added in.
         // A cluster a partition emptied is skipped: its sum may keep
         // rounding residue.
-        sums = Array.fill(k)(new Array[Double](d))
+        sums = Array.fill(k)(new Array[Double](centroids(0).length))
         counts = new Array[Long](k)
         for (p <- partials; j <- 0 until k if p.counts(j) > 0) {
           counts(j) += p.counts(j)
@@ -138,6 +140,8 @@ object DistributedDaskMeans {
     }
 
     try {
+      val start = init.getOrElse(smallest(sc.runJob(rows, new Pick(runId, k, leafCapacity)), k))
+      require(start.length == k, s"need 1 <= k <= n, got k=$k n=${start.length}")
       val out = KMeans.iterate(start, maxIters, run)
       FitResult(out.centroids, out.iterations, runId, out.pruned, counts, parts)
     } catch {
@@ -145,8 +149,98 @@ object DistributedDaskMeans {
     }
   }
 
+  /** `df`'s `id` as a long and `features` as doubles. Catalyst casts an
+    * `int` id or `float` features, so the binary rows [[Decoded.read]]
+    * reads hold these types and no other.
+    */
+  private def typed(df: DataFrame): DataFrame =
+    df.select(col("id").cast("long").as("id"), col("features").cast("array<double>").as("features"))
+
+  /** [[typed]] with a third column, the seeded hash of the id. */
+  private def hashed(df: DataFrame, seed: Long): DataFrame =
+    typed(df).withColumn("hash", xxhash64(col("id"), lit(seed)))
+
+  /** The points of the k smallest rows of the per-partition samples, taken
+    * in partition order.
+    */
+  private def smallest(samples: Array[Decoded], k: Int): Array[Array[Double]] =
+    new Decoded(samples.flatMap(_.ids), samples.flatMap(_.points), samples.flatMap(_.hashes)).smallest(k).points
+
+  /** One partition's rows of [[hashed]], decoded column by column. */
+  private final class Decoded(val ids: Array[Long], val points: Array[Array[Double]], val hashes: Array[Long])
+      extends Serializable {
+
+    /** The min(k, n) rows of smallest (hash, id), in that order; rows that
+      * tie on both keep their order.
+      */
+    def smallest(k: Int): Decoded = {
+      val m = math.min(k, ids.length)
+      if (m <= 0) return new Decoded(Array.empty, Array.empty, Array.empty)
+      val sorted = hashes.clone()
+      java.util.Arrays.sort(sorted)
+      val cut = sorted(m - 1)
+      // Every row at or below the m-th smallest hash: more than m only
+      // when hashes tie at the cut.
+      val below = java.util.stream.IntStream.range(0, hashes.length).filter(hashes(_) <= cut).toArray
+      val order = below.sorted(Ordering.by[Int, Long](hashes(_)).orElseBy(ids(_))).take(m)
+      new Decoded(order.map(ids(_)), order.map(points(_)), order.map(hashes(_)))
+    }
+
+    /** The partition's cache entry: its ids and a tree over its points. */
+    def entry(k: Int, leafCapacity: Int): PartitionIndexCache.Entry = {
+      val state = if (points.isEmpty) null else new TreeAssignmentState(points, BallTree.build(points, leafCapacity), k)
+      new PartitionIndexCache.Entry(ids, state, new DistanceCounter)
+    }
+  }
+
+  private object Decoded {
+
+    /** Decodes binary rows `(id, features, hash)`, which the iterator may
+      * reuse, into fresh primitive arrays; no id, hash or coordinate is
+      * boxed. Rejects a null id, a null features array or coordinate and a
+      * NaN or infinite coordinate.
+      */
+    def read(rows: Iterator[InternalRow]): Decoded = {
+      val ids = new ArrayBuilder.ofLong
+      val points = new ArrayBuilder.ofRef[Array[Double]]
+      val hashes = new ArrayBuilder.ofLong
+      while (rows.hasNext) {
+        val r = rows.next()
+        require(!r.isNullAt(0), "data has a null id")
+        require(!r.isNullAt(1), "data has a null coordinate")
+        val a = r.getArray(1)
+        val p = new Array[Double](a.numElements())
+        var i = 0
+        while (i < p.length) {
+          require(!a.isNullAt(i), "data has a null coordinate")
+          p(i) = a.getDouble(i)
+          require(java.lang.Double.isFinite(p(i)), "data has a NaN or infinite coordinate")
+          i += 1
+        }
+        ids.addOne(r.getLong(0))
+        points.addOne(p)
+        hashes.addOne(r.getLong(2))
+      }
+      new Decoded(ids.result(), points.result(), hashes.result())
+    }
+  }
+
   /** One partition's share of an assignment phase. */
   private final case class Partial(pruned: Long, counts: Array[Long], sums: Array[Array[Double]])
+
+  /** The first job of a fit without `init`: builds each partition's cache
+    * entry, as [[Step]] would, and returns the partition's sample for
+    * [[initialCentroids]]. It reads the rows even when a retried task finds
+    * the entry built.
+    */
+  private final class Pick(runId: String, k: Int, leafCapacity: Int)
+      extends ((TaskContext, Iterator[InternalRow]) => Decoded) with Serializable {
+    def apply(ctx: TaskContext, rows: Iterator[InternalRow]): Decoded = {
+      val part = Decoded.read(rows)
+      PartitionIndexCache.getOrBuild(runId, ctx.partitionId(), () => part.entry(k, leafCapacity))
+      part.smallest(k)
+    }
+  }
 
   /** One partition's assignment phase against `centroids`: the partition's
     * cached tree, built from its rows on first use, assigned by
@@ -159,14 +253,9 @@ object DistributedDaskMeans {
       leafCapacity: Int,
       centroids: Array[Array[Double]],
       cb: Array[Double],
-  ) extends ((TaskContext, Iterator[(Long, Array[Double])]) => Partial) with Serializable {
-    def apply(ctx: TaskContext, rows: Iterator[(Long, Array[Double])]): Partial = {
-      val entry = PartitionIndexCache.getOrBuild(runId, ctx.partitionId(), () => {
-        val (ids, data) = rows.toArray.unzip
-        require(data.forall(_.forall(java.lang.Double.isFinite)), "data has a NaN or infinite coordinate")
-        val state = if (data.isEmpty) null else new TreeAssignmentState(data, BallTree.build(data, leafCapacity), k)
-        new PartitionIndexCache.Entry(ids, state, new DistanceCounter)
-      })
+  ) extends ((TaskContext, Iterator[InternalRow]) => Partial) with Serializable {
+    def apply(ctx: TaskContext, rows: Iterator[InternalRow]): Partial = {
+      val entry = PartitionIndexCache.getOrBuild(runId, ctx.partitionId(), () => Decoded.read(rows).entry(k, leafCapacity))
       if (entry.state == null) null
       else {
         val index = if (k > 1) new CentroidIndex(centroids, leafCapacity, entry.counter) else null
@@ -184,7 +273,7 @@ object DistributedDaskMeans {
   def assignments(df: DataFrame, fitted: FitResult, leafCapacity: Int = 30): DataFrame = {
     val spark = df.sparkSession
     import spark.implicits._
-    df.select("id", "features")
+    typed(df)
       .repartition(fitted.numPartitions, col("id"))
       .mapPartitions { rows =>
         val pid = TaskContext.getPartitionId()

@@ -78,6 +78,14 @@ class VecSpec extends AnyFunSuite {
     assert(bself.i2 == 1 && bself.d2 == Vec.dist(cs(2), cs(1)), "self-skip gives the nearest-other distance")
   }
 
+  test("allFinite rejects a NaN or infinite coordinate in any vector") {
+    assert(Vec.allFinite(Array(Array(1.0, -2.0), Array.empty[Double], Array(Double.MaxValue))))
+    assert(Vec.allFinite(Array.empty[Array[Double]]))
+    Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity).foreach { bad =>
+      assert(!Vec.allFinite(Array(Array(1.0, 2.0), Array(3.0, bad))))
+    }
+  }
+
   test("scale produces a fresh scaled array") {
     val a = Array(2.0, 4.0)
     val s = Vec.scale(a, 0.5)

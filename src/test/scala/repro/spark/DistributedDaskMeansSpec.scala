@@ -2,6 +2,9 @@ package repro.spark
 
 import org.apache.spark.ListenerBusAccess
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions.{col, lit, xxhash64}
+import org.apache.spark.sql.types._
 import repro.SparkSpec
 import repro.baselines.Lloyd
 import repro.core.{KMeans, Vec}
@@ -30,6 +33,15 @@ class DistributedDaskMeansSpec extends SparkSpec {
 
   private def frame(rows: Seq[Seq[Double]]) =
     spark.createDataFrame(rows.zipWithIndex.map { case (p, i) => (i.toLong, p) }).toDF("id", "features")
+
+  private def bits(cs: Array[Array[Double]]): Seq[Seq[Long]] =
+    cs.map(_.map(java.lang.Double.doubleToLongBits).toSeq).toSeq
+
+  /** Everything a fit returns that does not depend on its run id. */
+  private def outcome(f: DistributedDaskMeans.FitResult) = {
+    val distances = (0 until f.numPartitions).flatMap(PartitionIndexCache.get(f.runId, _)).map(_.counter.count).sum
+    (bits(f.centroids), f.iterations, f.batchPrunedVectors, f.counts.toSeq, distances)
+  }
 
   test("distributed run matches serial Lloyd from the same init") {
     val (df, data) = fixture(3000)
@@ -130,12 +142,71 @@ class DistributedDaskMeansSpec extends SparkSpec {
     Seq(Double.NaN, Double.NegativeInfinity).foreach { bad =>
       val df = frame(data.toSeq.map(_.toSeq) :+ Seq(1.0, bad))
       // One partition, so no other task can race the drop on failure.
+      // Without init the first job, which picks the initial centroids, fails.
       rejects[Exception]("data has a NaN or infinite coordinate") {
         DistributedDaskMeans.fit(df, 5, 3, numPartitions = 1, init = Some(init))
       }
       rejects[Exception]("data has a NaN or infinite coordinate") {
         DistributedDaskMeans.fit(df, 5, 3, numPartitions = 1)
       }
+    }
+  }
+
+  test("fit rejects a null id, features array or coordinate") {
+    val schema = StructType(Seq(StructField("id", LongType), StructField("features", ArrayType(DoubleType))))
+    val good = Seq(Row(0L, Seq(0.0, 0.0)), Row(1L, Seq(1.0, 0.0)), Row(2L, Seq(0.0, 1.0)))
+    val init = Array(Array(0.0, 0.0), Array(1.0, 1.0))
+    Seq(
+      Row(3L, null) -> "data has a null coordinate",
+      Row(3L, Seq(1.0, null)) -> "data has a null coordinate",
+      Row(null, Seq(1.0, 1.0)) -> "data has a null id",
+    ).foreach { case (bad, message) =>
+      val df = spark.createDataFrame(java.util.Arrays.asList(good :+ bad: _*), schema)
+      rejects[Exception](message)(DistributedDaskMeans.initialCentroids(df, 2, 1L))
+      // One partition, so no other task can race the drop on failure.
+      rejects[Exception](message)(DistributedDaskMeans.fit(df, 2, 3, numPartitions = 1))
+      rejects[Exception](message)(DistributedDaskMeans.fit(df, 2, 3, numPartitions = 1, init = Some(init)))
+    }
+  }
+
+  test("an int id and float features give the results of their long and double casts") {
+    val (df, _) = fixture(1500, "Porto")
+    val narrow = df.select(col("id").cast("int").as("id"), col("features").cast("array<float>").as("features"))
+    val wide = narrow.select(col("id").cast("long").as("id"), col("features").cast("array<double>").as("features"))
+    val (k, seed) = (12, 4L)
+    assert(bits(DistributedDaskMeans.initialCentroids(narrow, k, seed)) ==
+      bits(DistributedDaskMeans.initialCentroids(wide, k, seed)))
+    val init = DistributedDaskMeans.initialCentroids(wide, k, seed)
+    Seq(None, Some(init)).foreach { start =>
+      val Seq(a, b) = Seq(narrow, wide).map(DistributedDaskMeans.fit(_, k, 6, numPartitions = 3, seed = seed, init = start))
+      try {
+        assert(outcome(a) == outcome(b), s"init = $start")
+        def assigned(in: DataFrame, f: DistributedDaskMeans.FitResult) =
+          DistributedDaskMeans.assignments(in, f).collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
+        assert(assigned(narrow, a) == assigned(wide, b))
+      } finally { DistributedDaskMeans.cleanup(a); DistributedDaskMeans.cleanup(b) }
+    }
+  }
+
+  test("initialCentroids is the SQL hash sample, and a fit without init starts from it") {
+    // (dataset, n, k, partitions, maxIters, seed); "3D-RD" at 40 rows over 32
+    // partitions leaves partitions empty.
+    val inputs = Seq(
+      ("Argo-PC", 6000, 40, 3, 8, 1L),
+      ("T-drive", 5000, 60, 4, 6, 2L),
+      ("Porto", 3000, 25, 5, 10, 9L),
+      ("3D-RD", 40, 4, 32, 5, 3L),
+    )
+    inputs.foreach { case key @ (name, n, k, parts, maxIters, seed) =>
+      val (df, _) = fixture(n, name)
+      val sql = df.orderBy(xxhash64(col("id"), lit(seed))).limit(k)
+        .select("features").collect().map(_.getSeq[Double](0).toArray)
+      val init = DistributedDaskMeans.initialCentroids(df.repartition(parts, col("id")), k, seed)
+      assert(bits(init) == bits(sql), key)
+      val Seq(picked, given) = Seq(None, Some(init))
+        .map(start => DistributedDaskMeans.fit(df, k, maxIters, numPartitions = parts, seed = seed, init = start))
+      try assert(outcome(picked) == outcome(given), key)
+      finally { DistributedDaskMeans.cleanup(picked); DistributedDaskMeans.cleanup(given) }
     }
   }
 
@@ -235,17 +306,20 @@ class DistributedDaskMeansSpec extends SparkSpec {
     val (df, data) = fixture(3000)
     val init = KMeans.initCentroids(data, 10, 5L)
     val sc = spark.sparkContext
-    val jobs = new AtomicInteger
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    // Without init, one more job picks the initial centroids.
+    Seq(Some(init) -> 1, None -> 2).foreach { case (start, extra) =>
+      val jobs = new AtomicInteger
+      val listener = new SparkListener {
+        override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+      }
+      ListenerBusAccess.drain(sc) // earlier jobs' events must not reach the listener
+      sc.addSparkListener(listener)
+      val fitted =
+        try DistributedDaskMeans.fit(df, 10, 10, numPartitions = 4, init = start)
+        finally { ListenerBusAccess.drain(sc); sc.removeSparkListener(listener) }
+      try assert(jobs.get == fitted.iterations + extra, s"${jobs.get} jobs for ${fitted.iterations} assignment phases")
+      finally DistributedDaskMeans.cleanup(fitted)
     }
-    ListenerBusAccess.drain(sc) // earlier jobs' events must not reach the listener
-    sc.addSparkListener(listener)
-    val fitted =
-      try DistributedDaskMeans.fit(df, 10, 10, numPartitions = 4, init = Some(init))
-      finally { ListenerBusAccess.drain(sc); sc.removeSparkListener(listener) }
-    try assert(jobs.get == fitted.iterations + 1, s"${jobs.get} jobs for ${fitted.iterations} assignment phases")
-    finally DistributedDaskMeans.cleanup(fitted)
   }
 
   test("sse agrees with a serial computation") {
