@@ -2,7 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.spatial.SpatialData
-import repro.tables.{AlgoSuite, TableIV}
+import repro.tables.TableIV
 
 /** Reproduces Table IV: total runtime of the ten algorithms over the six
   * low-dimensional datasets at 1/10 of the paper's scale (n = 100k,

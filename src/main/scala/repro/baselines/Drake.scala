@@ -29,61 +29,32 @@ final class Drake extends KMeansAlgo {
     private val rest = new Array[Double](n) // lower bound for centroids beyond the list
     private val exact = new Array[Double](nb)
 
-    // Bounded max-heap over (distance, id) used to select the b+2 closest.
-    private val heapSize = math.min(k, nb + 2)
-    private val heapD = new Array[Double](heapSize)
-    private val heapI = new Array[Int](heapSize)
+    // The b+2 closest centroids of a full recompute, ascending by distance.
+    private val nearSize = math.min(k, nb + 2)
+    private val nearD = new Array[Double](nearSize)
+    private val nearI = new Array[Int](nearSize)
 
     override def assign(centroids: Array[Array[Double]], it: Int, drifts: Array[Double]): Long = {
       def fullRecompute(i: Int): Unit = {
-        var m = 0 // current heap fill
+        // Bounded insertion in id order: equal distances keep id order, and
+        // a centroid enters a full list only if strictly closer than its last.
+        var m = 0 // current fill
         var j = 0
         while (j < k) {
           val t = counter.dist(data(i), centroids(j))
-          if (m < heapSize) {
-            // push
-            heapD(m) = t; heapI(m) = j; m += 1
-            var c = m - 1
-            while (c > 0 && heapD((c - 1) / 2) < heapD(c)) {
-              val p = (c - 1) / 2
-              val td = heapD(p); heapD(p) = heapD(c); heapD(c) = td
-              val ti = heapI(p); heapI(p) = heapI(c); heapI(c) = ti
-              c = p
-            }
-          } else if (t < heapD(0)) {
-            // replace root, sift down
-            heapD(0) = t; heapI(0) = j
-            var c = 0
-            var done = false
-            while (!done) {
-              val l = 2 * c + 1; val r = 2 * c + 2
-              var big = c
-              if (l < m && heapD(l) > heapD(big)) big = l
-              if (r < m && heapD(r) > heapD(big)) big = r
-              if (big == c) done = true
-              else {
-                val td = heapD(big); heapD(big) = heapD(c); heapD(c) = td
-                val ti = heapI(big); heapI(big) = heapI(c); heapI(c) = ti
-                c = big
-              }
-            }
+          if (m < nearSize || t < nearD(m - 1)) {
+            if (m < nearSize) m += 1
+            var y = m - 1
+            while (y > 0 && nearD(y - 1) > t) { nearD(y) = nearD(y - 1); nearI(y) = nearI(y - 1); y -= 1 }
+            nearD(y) = t; nearI(y) = j
           }
           j += 1
         }
-        // Insertion-sort the m collected entries ascending.
-        var x = 1
-        while (x < m) {
-          val td = heapD(x); val ti = heapI(x)
-          var y = x - 1
-          while (y >= 0 && heapD(y) > td) { heapD(y + 1) = heapD(y); heapI(y + 1) = heapI(y); y -= 1 }
-          heapD(y + 1) = td; heapI(y + 1) = ti
-          x += 1
-        }
-        a(i) = heapI(0); u(i) = heapD(0)
+        a(i) = nearI(0); u(i) = nearD(0)
         var z = 0
-        while (z < nb && z + 1 < m) { candId(i)(z) = heapI(z + 1); candLb(i)(z) = heapD(z + 1); z += 1 }
+        while (z < nb && z + 1 < m) { candId(i)(z) = nearI(z + 1); candLb(i)(z) = nearD(z + 1); z += 1 }
         while (z < nb) { candId(i)(z) = a(i); candLb(i)(z) = Double.PositiveInfinity; z += 1 } // k−1 < b filler
-        rest(i) = if (m == nb + 2 && m == heapSize && k > nb + 1) heapD(m - 1) else Double.PositiveInfinity
+        rest(i) = if (m == nb + 2 && m == nearSize && k > nb + 1) nearD(m - 1) else Double.PositiveInfinity
       }
 
       // Loosen the bounds by the last refine's drifts.

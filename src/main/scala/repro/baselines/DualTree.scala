@@ -13,12 +13,15 @@ import repro.estimator.MemoryEstimator
   * Simplification vs [50]: centroid grouping for batch centroid pruning is
   * omitted (the node/point bound structure, batch assignment, and
   * memory profile — two bounds per node and per point — are preserved).
+  * The point tree's leaf capacity is fixed at 8.
   */
-final class DualTree(val leafCapacity: Int = 8) extends KMeansAlgo {
+final class DualTree extends KMeansAlgo {
+  import DualTree.LeafCapacity
+
   override def name: String = "Dual-tree"
 
   override def extraMemoryFloats(n: Long, k: Long, d: Long): Long =
-    MemoryEstimator.indexFloats(n, leafCapacity.toLong, d) + 3L * (4 * n / leafCapacity) + 4L * n
+    MemoryEstimator.indexFloats(n, LeafCapacity.toLong, d) + 3L * (4 * n / LeafCapacity) + 4L * n
 
   override protected def start(
       data: Array[Array[Double]],
@@ -27,7 +30,7 @@ final class DualTree(val leafCapacity: Int = 8) extends KMeansAlgo {
       counter: DistanceCounter,
   ): KMeansAlgo.Run = new KMeansAlgo.Run {
     private val n = data.length
-    private val tree = BallTree.build(data, leafCapacity)
+    private val tree = BallTree.build(data, LeafCapacity)
     private val state = new TreeAssignmentState(data, tree, k)
     private val nodeUb = new Array[Double](tree.nodeCount)
     private val nodeLb = new Array[Double](tree.nodeCount)
@@ -60,7 +63,7 @@ final class DualTree(val leafCapacity: Int = 8) extends KMeansAlgo {
       def adjUb(ub: Double, c: Int, ver: Int): Double = ub + (cum(now)(c) - cum(ver)(c))
       def adjLb(lb: Double, ver: Int): Double = lb - (cumMax(now) - cumMax(ver))
 
-      def visitLeafPoint(p: Int, node: BallNode): Unit = {
+      def visitLeafPoint(p: Int): Unit = {
         val a0 = state.assignments(p)
         if (a0 >= 0) {
           u(p) = adjUb(u(p), a0, pVer(p)); l(p) = adjLb(l(p), pVer(p)); pVer(p) = now
@@ -104,7 +107,7 @@ final class DualTree(val leafCapacity: Int = 8) extends KMeansAlgo {
             pVer(p) = now
           })
           var i = 0
-          while (i < node.points.length) { visitLeafPoint(node.points(i), node); i += 1 }
+          while (i < node.points.length) { visitLeafPoint(node.points(i)); i += 1 }
         } else {
           state.pushDown(node)(onChild = ch => {
             nodeUb(ch.id) = nodeUb(id) + node.radius
@@ -121,4 +124,8 @@ final class DualTree(val leafCapacity: Int = 8) extends KMeansAlgo {
       pruned
     }
   }
+}
+
+object DualTree {
+  private val LeafCapacity = 8
 }

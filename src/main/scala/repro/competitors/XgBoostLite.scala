@@ -8,14 +8,7 @@ import scala.util.Random
   * 0.1, column sampling 0.3 per tree, squared loss (so each tree fits the
   * residual).
   */
-final class XgBoostLite(
-    val numTrees: Int = 100,
-    val maxDepth: Int = 5,
-    val learningRate: Double = 0.1,
-    val colSample: Double = 0.3,
-    val minSamplesLeaf: Int = 2,
-    seed: Long = 13L,
-) extends RuntimeModel {
+final class XgBoostLite(numTrees: Int = 100, colSample: Double = 0.3) extends RuntimeModel {
   import XgBoostLite._
 
   private var trees: List[Node] = Nil
@@ -32,7 +25,7 @@ final class XgBoostLite(
       depth: Int,
       features: Array[Int],
   ): Node = {
-    if (depth >= maxDepth || idx.length < 2 * minSamplesLeaf) return Leaf(meanOf(residual, idx))
+    if (depth >= MaxDepth || idx.length < 2 * MinSamplesLeaf) return Leaf(meanOf(residual, idx))
     var bestGain = 1e-12
     var bestFeature = -1
     var bestThreshold = 0.0
@@ -45,7 +38,7 @@ final class XgBoostLite(
       while (x < sorted.length - 1) {
         leftSum += residual(sorted(x))
         val nl = x + 1
-        if (nl >= minSamplesLeaf && sorted.length - nl >= minSamplesLeaf &&
+        if (nl >= MinSamplesLeaf && sorted.length - nl >= MinSamplesLeaf &&
             xs(sorted(x))(f) < xs(sorted(x + 1))(f)) {
           val rightSum = totalSum - leftSum
           val gain = leftSum * leftSum / nl + rightSum * rightSum / (sorted.length - nl) - totalSq
@@ -71,7 +64,7 @@ final class XgBoostLite(
 
   override def fit(xs: Array[Array[Double]], ys: Array[Double]): this.type = {
     require(xs.nonEmpty && xs.length == ys.length, "need matching samples")
-    val rnd = new Random(seed)
+    val rnd = new Random(Seed)
     val nf = xs(0).length
     base = ys.sum / ys.length
     val pred = Array.fill(ys.length)(base)
@@ -85,7 +78,7 @@ final class XgBoostLite(
       val tree = buildTree(xs, residual, all, 0, cols)
       built += tree
       var i = 0
-      while (i < ys.length) { pred(i) += learningRate * evalTree(tree, xs(i)); i += 1 }
+      while (i < ys.length) { pred(i) += LearningRate * evalTree(tree, xs(i)); i += 1 }
       t += 1
     }
     trees = built.toList
@@ -93,10 +86,15 @@ final class XgBoostLite(
   }
 
   override def predict(x: Array[Double]): Double =
-    base + learningRate * trees.map(evalTree(_, x)).sum
+    base + LearningRate * trees.map(evalTree(_, x)).sum
 }
 
 object XgBoostLite {
+  private val MaxDepth = 5
+  private val LearningRate = 0.1
+  private val MinSamplesLeaf = 2
+  private val Seed = 13L
+
   private sealed trait Node
   private final case class Leaf(value: Double) extends Node
   private final case class Split(feature: Int, threshold: Double, left: Node, right: Node) extends Node

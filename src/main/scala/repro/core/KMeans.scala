@@ -14,8 +14,6 @@ import scala.util.Random
   * @param batchPrunedVectors   point-iterations assigned without an
   *                             individual centroid search (paper Table VII
   *                             "pruned vectors")
-  * @param extraMemoryFloats    bookkeeping memory beyond the dataset, in
-  *                             8-byte slots (indexes, bounds, matrices)
   */
 final case class KMeansResult(
     centroids: Array[Array[Double]],
@@ -25,7 +23,6 @@ final case class KMeansResult(
     iterMs: Array[Double],
     distanceComputations: Long,
     batchPrunedVectors: Long,
-    extraMemoryFloats: Long,
 ) {
   def totalMs: Double = initMs + iterMs.sum
 
@@ -88,8 +85,7 @@ trait KMeansAlgo {
     val state = start(data, k, init, counter)
     val initMs = (System.nanoTime() - t0) / 1e6
     val out = KMeans.iterate(init, maxIters, state)
-    KMeansResult(out.centroids, state.assignments, out.iterations, initMs, out.iterMs, counter.count, out.pruned,
-      extraMemoryFloats(data.length.toLong, k.toLong, data(0).length.toLong))
+    KMeansResult(out.centroids, state.assignments, out.iterations, initMs, out.iterMs, counter.count, out.pruned)
   }
 }
 

@@ -5,9 +5,9 @@ package repro.estimator
   * online with the asymmetric-kernel GP as actual iteration runtimes stream
   * in. Its memory side is the closed form in `MemoryEstimator`.
   */
-final class CostEstimator(q: Int, degree: Int = 4, interactions: Boolean = true, sigma: Double = 50.0)
+final class CostEstimator(q: Int, degree: Int = 4, interactions: Boolean = true)
     extends PerIteration(new PolyRegressor(degree, interactions), q) {
-  private val gp = new GpAdjuster(sigma)
+  private val gp = new GpAdjuster
 
   /** Remaining-runtime monitor (§V-B2): with actual runtimes of completed
     * iterations, returns the adjusted estimate of the task total.

@@ -9,7 +9,8 @@ package repro.estimator
   * exp(−h(i'−i)²/2σ²) otherwise, with h(δ) = ln(δ+1) on (−1, 0] and δ on
   * (0, ∞) so the kernel stays continuously differentiable at the seam.
   */
-final class GpAdjuster(val sigma: Double = 50.0, val noise: Double = 1e-3) {
+final class GpAdjuster(sigma: Double = 50.0) {
+  import GpAdjuster.Noise
 
   /** Eq. 21. */
   def h(delta: Double): Double = {
@@ -30,11 +31,11 @@ final class GpAdjuster(val sigma: Double = 50.0, val noise: Double = 1e-3) {
   def posterior(observedIters: Array[Int], observedG: Array[Double], targets: Array[Int]): Array[Double] = {
     val t = observedIters.length
     if (t == 0) return targets.map(_ => 1.0)
-    val kMat = Array.tabulate(t, t)((a, b) => cov(observedIters(a).toDouble, observedIters(b).toDouble) + (if (a == b) noise else 0.0))
+    val kMat = Array.tabulate(t, t)((a, b) => cov(observedIters(a).toDouble, observedIters(b).toDouble) + (if (a == b) Noise else 0.0))
     val rhs = observedG.map(_ - 1.0)
     val w =
       try LinAlg.solve(kMat, rhs)
-      catch { case _: ArithmeticException => rhs.map(_ / (1.0 + noise)) }
+      catch { case _: ArithmeticException => rhs.map(_ / (1.0 + Noise)) }
     targets.map { tp =>
       var s = 1.0
       var a = 0
@@ -67,4 +68,10 @@ final class GpAdjuster(val sigma: Double = 50.0, val noise: Double = 1e-3) {
     }
     out
   }
+}
+
+object GpAdjuster {
+
+  /** Observation noise added to the kernel diagonal. */
+  private val Noise = 1e-3
 }

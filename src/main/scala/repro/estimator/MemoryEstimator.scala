@@ -13,6 +13,9 @@ package repro.estimator
   */
 object MemoryEstimator {
 
+  /** The largest leaf capacity [[leafCapacityFor]] tries. */
+  private val MaxLeafCapacity = 1 << 20
+
   /** Float slots of one index per Eq. 10, generalised to dimension d. */
   def indexFloats(n: Long, f: Long, d: Long): Long = {
     require(n >= 1 && f >= 2 && d >= 1, s"bad args n=$n f=$f d=$d")
@@ -43,18 +46,12 @@ object MemoryEstimator {
     * with f overall but not at single-step granularity (ceil jumps in the
     * leaf count vs the reserved capacity per leaf), so scan the exact
     * generalised model instead of inverting the printed approximation.
-    * Returns None when no capacity up to fMax fits.
+    * Returns None when no capacity up to 2^20 fits.
     */
-  def leafCapacityFor(
-      n: Long,
-      k: Long,
-      d: Long,
-      budgetFloats: Long,
-      fMax: Int = 1 << 20,
-  ): Option[Int] = {
+  def leafCapacityFor(n: Long, k: Long, d: Long, budgetFloats: Long): Option[Int] = {
     // Beyond f = n the point tree is a single reserved leaf and the
     // footprint only grows — clamp the scan there.
-    val fTop = math.max(2, math.min(fMax.toLong, n).toInt)
+    val fTop = math.max(2, math.min(MaxLeafCapacity.toLong, n).toInt)
     var f = 2
     while (f <= fTop) {
       if (daskMeansExtraFloats(n, k, d, f.toLong) <= budgetFloats) return Some(f)

@@ -7,6 +7,7 @@ import org.apache.spark.sql.functions._
 
 import repro.core._
 
+import scala.annotation.unused
 import scala.collection.concurrent.TrieMap
 import scala.collection.mutable.ArrayBuilder
 
@@ -266,30 +267,24 @@ object DistributedDaskMeans {
   }
 
   /** Final per-point assignments of a finished run as a DataFrame
-    * `(id, cluster)`, partitioned as the run was; requires the run's cached
-    * partition state (call before [[cleanup]]). Falls back to a
-    * nearest-centroid pass for partitions whose cache entry is gone.
+    * `(id, cluster)`: the clusters of the run's last assignment phase, read
+    * from its cached partition state by one job over the run's partitions.
+    * Reads no rows of `df`, which only supplies the session. Throws once
+    * the state is gone: call before [[cleanup]]. `leafCapacity` is unused;
+    * the benchmark harness passes it.
     */
-  def assignments(df: DataFrame, fitted: FitResult, leafCapacity: Int = 30): DataFrame = {
+  def assignments(df: DataFrame, fitted: FitResult, @unused leafCapacity: Int = 30): DataFrame = {
     val spark = df.sparkSession
     import spark.implicits._
-    typed(df)
-      .repartition(fitted.numPartitions, col("id"))
-      .mapPartitions { rows =>
-        val pid = TaskContext.getPartitionId()
-        PartitionIndexCache.get(fitted.runId, pid) match {
-          case Some(entry) if entry.state != null =>
-            val a = entry.state.materialize()
-            val byId = new java.util.HashMap[Long, Int](entry.ids.length * 2)
-            entry.ids.indices.foreach(i => byId.put(entry.ids(i), i))
-            rows.map { r =>
-              val id = r.getLong(0)
-              val i = byId.getOrDefault(id, -1)
-              if (i >= 0) (id, a(i))
-              else (id, Vec.nearest(r.getSeq[Double](1).toArray, fitted.centroids))
-            }
-          case _ =>
-            rows.map(r => (r.getLong(0), Vec.nearest(r.getSeq[Double](1).toArray, fitted.centroids)))
+    val runId = fitted.runId
+    spark.sparkContext.parallelize(0 until fitted.numPartitions, fitted.numPartitions)
+      .mapPartitionsWithIndex { (pid, _) =>
+        val entry = PartitionIndexCache.get(runId, pid).getOrElse(
+          throw new IllegalStateException(s"run $runId has no state for partition $pid: call assignments before cleanup"))
+        if (entry.state == null) Iterator.empty
+        else {
+          val a = entry.state.materialize()
+          entry.ids.indices.iterator.map(i => (entry.ids(i), a(i)))
         }
       }
       .toDF("id", "cluster")

@@ -16,6 +16,14 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   */
 object SpatialData {
 
+  /** Side of the square field the 3D point-cloud generators fill. */
+  private val Field = 100.0
+
+  private val RoadSegments = 300
+
+  /** Ambient gaussian noise of [[embedded]], per dimension. */
+  private val EmbeddedNoise = 0.05
+
   /** Uniform (0,1) derived from hashing `e` with a salt. */
   private def u(e: String, salt: Long): String =
     s"((pmod(xxhash64($e, ${salt}L), 1000000000L) + 0.5) / 1000000000.0)"
@@ -52,19 +60,19 @@ object SpatialData {
   /** 3D lidar-sweep-like cloud (Argo-PC substitute): ground plane, wall
     * strips, and compact objects.
     */
-  def lidarCloud(spark: SparkSession, n: Long, field: Double = 100.0, seed: Long = 100): DataFrame = {
+  def lidarCloud(spark: SparkSession, n: Long, seed: Long = 100): DataFrame = {
     val part = s"pmod(xxhash64(id, ${seed}L), 10)"
     val obj = s"pmod(xxhash64(id, ${seed + 1}L), 50)"
     val wall = s"pmod(xxhash64(id, ${seed + 2}L), 12)"
-    val groundX = s"(${u("id", seed + 3)} * $field)"
-    val groundY = s"(${u("id", seed + 4)} * $field)"
+    val groundX = s"(${u("id", seed + 3)} * $Field)"
+    val groundY = s"(${u("id", seed + 4)} * $Field)"
     val groundZ = s"(abs(${gauss("id", seed + 5)}) * 0.15)"
     val wallT = u("id", seed + 6)
-    val wallX = s"(${u(wall, seed + 7)} * $field * (1 - $wallT) + ${u(wall, seed + 8)} * $field * $wallT)"
-    val wallY = s"(${u(wall, seed + 9)} * $field * (1 - $wallT) + ${u(wall, seed + 10)} * $field * $wallT)"
+    val wallX = s"(${u(wall, seed + 7)} * $Field * (1 - $wallT) + ${u(wall, seed + 8)} * $Field * $wallT)"
+    val wallY = s"(${u(wall, seed + 9)} * $Field * (1 - $wallT) + ${u(wall, seed + 10)} * $Field * $wallT)"
     val wallZ = s"(${u("id", seed + 11)} * 6.0)"
-    val objX = s"(${u(obj, seed + 12)} * $field + ${gauss("id", seed + 13)} * 0.8)"
-    val objY = s"(${u(obj, seed + 14)} * $field + ${gauss("id", seed + 15)} * 0.8)"
+    val objX = s"(${u(obj, seed + 12)} * $Field + ${gauss("id", seed + 13)} * 0.8)"
+    val objY = s"(${u(obj, seed + 14)} * $Field + ${gauss("id", seed + 15)} * 0.8)"
     val objZ = s"(${u(obj, seed + 16)} * 2.5 + abs(${gauss("id", seed + 17)}) * 0.5)"
     val x = s"(case when $part < 4 then $groundX when $part < 7 then $wallX else $objX end)"
     val y = s"(case when $part < 4 then $groundY when $part < 7 then $wallY else $objY end)"
@@ -75,11 +83,11 @@ object SpatialData {
   /** 3D road-network points (3D-RD substitute): points along hashed road
     * segments with smooth elevation — a near-2D manifold embedded in 3D.
     */
-  def roadNetwork3d(spark: SparkSession, n: Long, segments: Int = 300, field: Double = 100.0, seed: Long = 200): DataFrame = {
-    val seg = s"pmod(xxhash64(id, ${seed}L), $segments)"
+  def roadNetwork3d(spark: SparkSession, n: Long, seed: Long = 200): DataFrame = {
+    val seg = s"pmod(xxhash64(id, ${seed}L), $RoadSegments)"
     val t = u("id", seed + 1)
-    val ax = s"(${u(seg, seed + 2)} * $field)"
-    val ay = s"(${u(seg, seed + 3)} * $field)"
+    val ax = s"(${u(seg, seed + 2)} * $Field)"
+    val ay = s"(${u(seg, seed + 3)} * $Field)"
     val bx = s"($ax + (${u(seg, seed + 4)} - 0.5) * 18.0)"
     val by = s"($ay + (${u(seg, seed + 5)} - 0.5) * 18.0)"
     val x = s"($ax * (1 - $t) + $bx * $t + ${gauss("id", seed + 6)} * 0.05)"
@@ -91,11 +99,11 @@ object SpatialData {
   /** 3D object surfaces (Shapenet substitute): many small spheres scattered
     * across the field, points sampled on their surfaces.
     */
-  def shapeSurfaces(spark: SparkSession, n: Long, objects: Int = 200, field: Double = 100.0, seed: Long = 300): DataFrame = {
+  def shapeSurfaces(spark: SparkSession, n: Long, objects: Int = 200, seed: Long = 300): DataFrame = {
     val obj = s"pmod(xxhash64(id, ${seed}L), $objects)"
-    val cx = s"(${u(obj, seed + 1)} * $field)"
-    val cy = s"(${u(obj, seed + 2)} * $field)"
-    val cz = s"(${u(obj, seed + 3)} * $field)"
+    val cx = s"(${u(obj, seed + 1)} * $Field)"
+    val cy = s"(${u(obj, seed + 2)} * $Field)"
+    val cz = s"(${u(obj, seed + 3)} * $Field)"
     val r = s"(0.5 + ${u(obj, seed + 4)} * 2.5)"
     val gx = gauss("id", seed + 5)
     val gy = gauss("id", seed + 6)
@@ -118,7 +126,6 @@ object SpatialData {
       d: Int,
       intrinsic: Int,
       centers: Int,
-      noise: Double = 0.05,
       seed: Long = 400,
   ): DataFrame = {
     val c = s"pmod(xxhash64(id, ${seed}L), $centers)"
@@ -129,7 +136,7 @@ object SpatialData {
     def basis(dim: String, l: String) = gauss(s"(CAST($dim AS BIGINT) * 1024 + $l)", seed + 3)
     val sumExpr =
       s"aggregate(sequence(0, ${intrinsic - 1}), 0.0D, (acc, l) -> acc + ${basis("dim", "l")} * ${latent("l")})"
-    val dimExpr = s"transform(sequence(0, ${d - 1}), dim -> $sumExpr / sqrt(${intrinsic}.0) + ${gauss("(id * 1031 + dim)", seed + 4)} * $noise)"
+    val dimExpr = s"transform(sequence(0, ${d - 1}), dim -> $sumExpr / sqrt(${intrinsic}.0) + ${gauss("(id * 1031 + dim)", seed + 4)} * $EmbeddedNoise)"
     spark.range(n).selectExpr("id", s"$dimExpr as features")
   }
 

@@ -14,7 +14,7 @@ object AlgoSuite {
   def algorithms(): Seq[KMeansAlgo] = Seq(
     new Lloyd,
     new NoBound,
-    new DualTree(leafCapacity = 8),
+    new DualTree,
     new Hamerly,
     new Drake,
     new Yinyang,
@@ -31,54 +31,36 @@ object AlgoSuite {
     */
   val DefaultGateFloats: Long = 200_000_000L
 
-  final case class Cell(
-      algorithm: String,
-      runtimeSec: Option[Double],
-      initSec: Double,
-      iterations: Int,
-      distances: Long,
-      sse: Double,
-      memoryFloats: Long,
-  )
+  final case class Cell(algorithm: String, runtimeSec: Option[Double], sse: Double)
 
   /** Run every algorithm on one (data, k) setting from a shared init (seed
     * 17); a `None` runtime is an N/A produced by the memory gate. Also
     * cross-checks that all completed algorithms converged to the same SSE
     * (they are exact accelerations of Lloyd).
     */
-  def runAll(
-      data: Array[Array[Double]],
-      k: Int,
-      maxIters: Int,
-      verifyExactness: Boolean = true,
-      repeats: Int = 1,
-  ): Seq[Cell] = {
+  def runAll(data: Array[Array[Double]], k: Int, maxIters: Int, repeats: Int = 1): Seq[Cell] = {
     val n = data.length.toLong
     val d = data(0).length.toLong
     val init = KMeans.initCentroids(data, k, 17L)
     val cells = algorithms().map { algo =>
-      val mem = algo.extraMemoryFloats(n, k.toLong, d)
-      if (mem > DefaultGateFloats)
-        Cell(algo.name, None, 0.0, 0, 0L, Double.NaN, mem)
+      if (algo.extraMemoryFloats(n, k.toLong, d) > DefaultGateFloats)
+        Cell(algo.name, None, Double.NaN)
       else {
         // best-of-`repeats`: the runs are deterministic and identical in
         // work (same distance counts), so the minimum strips JIT/GC and
         // scheduler noise from the container
         val runs = (1 to math.max(1, repeats)).map(_ => algo.run(data, k, maxIters, init))
         val r = runs.minBy(_.totalMs)
-        Cell(algo.name, Some(r.totalMs / 1000.0), r.initMs / 1000.0, r.iterations,
-          r.distanceComputations, r.sse(data), mem)
+        Cell(algo.name, Some(r.totalMs / 1000.0), r.sse(data))
       }
     }
-    if (verifyExactness) {
-      val done = cells.filter(_.runtimeSec.isDefined)
-      val ref = done.head.sse
-      done.foreach { c =>
-        require(
-          math.abs(c.sse - ref) <= 1e-6 * math.max(1.0, math.abs(ref)),
-          s"${c.algorithm} SSE ${c.sse} deviates from Lloyd's $ref — exactness violated",
-        )
-      }
+    val done = cells.filter(_.runtimeSec.isDefined)
+    val ref = done.head.sse
+    done.foreach { c =>
+      require(
+        math.abs(c.sse - ref) <= 1e-6 * math.max(1.0, math.abs(ref)),
+        s"${c.algorithm} SSE ${c.sse} deviates from Lloyd's $ref — exactness violated",
+      )
     }
     cells
   }
@@ -87,7 +69,7 @@ object AlgoSuite {
   def warmUp(): Unit = {
     val rnd = new scala.util.Random(5)
     val data = Array.fill(2000)(Array.fill(3)(rnd.nextDouble() * 10))
-    runAll(data, 16, maxIters = 3, verifyExactness = false)
+    runAll(data, 16, maxIters = 3)
     ()
   }
 

@@ -23,14 +23,13 @@ object TableVII {
 
   def run(
       spark: SparkSession,
-      datasets: Seq[String] = SpatialData.lowDimDatasets,
       n: Long = 100_000L,
       ks: Seq[Int] = Seq(100, 1000, 5000),
       budgetsMb: Seq[Double] = Seq(1.5, 2.0, 3.0),
-      maxIters: Int = 10,
   ): Seq[Row] = {
+    val maxIters = 10
     AlgoSuite.warmUp()
-    datasets.flatMap { name =>
+    SpatialData.lowDimDatasets.flatMap { name =>
       val data = SpatialData.collectPoints(SpatialData.dataset(spark, name, n))
       val d = data(0).length
       ks.flatMap { k =>

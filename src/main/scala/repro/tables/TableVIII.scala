@@ -30,14 +30,9 @@ object TableVIII {
     * per-iteration runtimes (the paper generates 2000 tasks at up to 10^8
     * points; we scale to the session budget).
     */
-  def generateSamples(
-      spark: SparkSession,
-      count: Int,
-      q: Int,
-      maxN: Int = 60_000,
-      seed: Long = 11L,
-  ): Array[TaskSample] = {
-    val rnd = new scala.util.Random(seed)
+  def generateSamples(spark: SparkSession, count: Int, q: Int): Array[TaskSample] = {
+    val maxN = 60_000
+    val rnd = new scala.util.Random(11L)
     val pools = Seq("T-drive", "Argo-PC", "3D-RD").map(nm =>
       SpatialData.collectPoints(SpatialData.dataset(spark, nm, maxN.toLong)))
     val fChoices = Array(10, 30, 60, 100, 150, 200)
@@ -110,10 +105,11 @@ object TableVIII {
   }
 
   /** Fig. 14 as rows: remaining-runtime estimates after observing the
-    * first `observe` iterations — GP-adjusted vs NoGP, plus the paper's
+    * first three iterations — GP-adjusted vs NoGP, plus the paper's
     * badly-chosen σ=2 lesson.
     */
-  def gpAdjustment(train: Array[TaskSample], test: Array[TaskSample], q: Int, observe: Int = 3): Seq[MetricsRow] = {
+  def gpAdjustment(train: Array[TaskSample], test: Array[TaskSample], q: Int): Seq[MetricsRow] = {
+    val observe = 3
     val est = new CostEstimator(q).fit(train)
     val eligible = test.filter(_.iterations > observe)
     val actualRemaining = eligible.map(s => s.iterRuntimesMs.drop(observe).sum)

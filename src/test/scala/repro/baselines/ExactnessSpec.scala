@@ -12,7 +12,7 @@ class ExactnessSpec extends AnyFunSuite {
 
   private def suite(f: Int = 16): Seq[KMeansAlgo] = Seq(
     new NoBound,
-    new DualTree(leafCapacity = 8),
+    new DualTree,
     new Hamerly,
     new Drake,
     new Yinyang,

@@ -230,6 +230,15 @@ class DistributedDaskMeansSpec extends SparkSpec {
     assert(PartitionIndexCache.size == before)
   }
 
+  test("assignments after cleanup fail instead of guessing") {
+    val (df, data) = fixture(800, "Porto")
+    val init = KMeans.initCentroids(data, 5, 7L)
+    val fitted = DistributedDaskMeans.fit(df, 5, 3, numPartitions = 3, init = Some(init))
+    DistributedDaskMeans.cleanup(fitted)
+    val e = intercept[Exception](DistributedDaskMeans.assignments(df, fitted).collect())
+    assert(e.getMessage.contains("call assignments before cleanup"), e.getMessage)
+  }
+
   test("deterministic seeded initial centroids") {
     val (df, _) = fixture(500, "T-drive")
     val a = DistributedDaskMeans.initialCentroids(df, 7, 5L)

@@ -1,5 +1,6 @@
 package repro.spatial
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 
@@ -98,5 +99,33 @@ class SpatialDataSpec extends SparkSpec {
     val p0 = pts.head
     val nn = pts.tail.map(p => math.sqrt(p.indices.map(i => (p(i) - p0(i)) * (p(i) - p0(i))).sum)).min
     assert(nn < 10.0)
+  }
+
+  test("generated data pinned bit for bit") {
+    def bits(df: DataFrame): Int =
+      java.util.Arrays.hashCode(SpatialData.collectPoints(df).flatten.map(java.lang.Double.doubleToLongBits))
+    val got = allNames.map(name => name -> bits(SpatialData.dataset(spark, name, 500))) ++ Seq(
+      "lidarCloud" -> bits(SpatialData.lidarCloud(spark, 2000)),
+      "roadNetwork3d" -> bits(SpatialData.roadNetwork3d(spark, 500)),
+      "shapeSurfaces" -> bits(SpatialData.shapeSurfaces(spark, 1000, objects = 5)),
+      "embedded" -> bits(SpatialData.embedded(spark, 400, d = 32, intrinsic = 4, centers = 10)),
+    )
+    // Recorded before the generators' unset knobs became constants: hashes
+    // of the points' bits.
+    val pinned = Map(
+      "T-drive" -> 1556319903,
+      "Porto" -> 1147616479,
+      "Argo-AVL" -> -1720580504,
+      "Argo-PC" -> 1958262034,
+      "3D-RD" -> -1798732956,
+      "Shapenet" -> -2052534433,
+      "Apoll-TD" -> -1536295784,
+      "Argo-ETD" -> 1123568714,
+      "lidarCloud" -> -1137446552,
+      "roadNetwork3d" -> -594821833,
+      "shapeSurfaces" -> 937395612,
+      "embedded" -> 665436053,
+    )
+    got.foreach { case (name, hash) => assert(hash == pinned(name), name) }
   }
 }
