@@ -4,7 +4,7 @@ import repro.core._
 
 /** Elkan's algorithm [21] (scikit-learn's default): n×k lower bounds
   * l(i,j), an upper bound u(i) per point, and the k×k inter-centroid
-  * half-distances. Exact, fast at small k, memory-prohibitive at large k
+  * distances. Exact, fast at small k, memory-prohibitive at large k
   * (the paper's N/A cells).
   */
 final class Elkan extends KMeansAlgo {
@@ -21,7 +21,7 @@ final class Elkan extends KMeansAlgo {
     private val n = data.length
     private val u = new Array[Double](n)
     private val l = Array.ofDim[Double](n, k)
-    private val halfCc = Array.ofDim[Double](k, k) // 0.5 · inter-centroid distances
+    private val cc = Array.ofDim[Double](k, k) // inter-centroid distances
     private val s = new Array[Double](k)
 
     override def assign(centroids: Array[Array[Double]], it: Int, drifts: Array[Double]): Long = {
@@ -36,19 +36,13 @@ final class Elkan extends KMeansAlgo {
         }
       }
 
-      // Inter-centroid half-distances and s(j).
+      // Inter-centroid distances and s(j).
+      counter.pairwise(centroids, cc)
       var j = 0
       while (j < k) {
         var best = Double.PositiveInfinity
         var j2 = 0
-        while (j2 < k) {
-          if (j2 != j) {
-            val t = if (j2 < j) 2 * halfCc(j2)(j) else counter.dist(centroids(j), centroids(j2))
-            halfCc(j)(j2) = t / 2
-            if (t < best) best = t
-          }
-          j2 += 1
-        }
+        while (j2 < k) { if (j2 != j && cc(j)(j2) < best) best = cc(j)(j2); j2 += 1 }
         s(j) = best / 2
         j += 1
       }
@@ -70,13 +64,13 @@ final class Elkan extends KMeansAlgo {
           var tight = false
           var c = 0
           while (c < k) {
-            if (c != a(i) && u(i) > l(i)(c) && u(i) > halfCc(a(i))(c)) {
+            if (c != a(i) && u(i) > l(i)(c) && u(i) > cc(a(i))(c) / 2) {
               if (!tight) { // 3a: tighten the upper bound once
                 u(i) = counter.dist(data(i), centroids(a(i)))
                 l(i)(a(i)) = u(i)
                 tight = true
               }
-              if (u(i) > l(i)(c) && u(i) > halfCc(a(i))(c)) { // 3b
+              if (u(i) > l(i)(c) && u(i) > cc(a(i))(c) / 2) { // 3b
                 val t = counter.dist(data(i), centroids(c))
                 l(i)(c) = t
                 if (t < u(i)) { a(i) = c; u(i) = t }

@@ -36,18 +36,7 @@ final class NoBound extends KMeansAlgo {
           i += 1
         }
       } else {
-        // k×k centroid distance matrix (the algorithm's signature cost).
-        var j = 0
-        while (j < k) {
-          var j2 = j + 1
-          while (j2 < k) {
-            val t = counter.dist(centroids(j), centroids(j2))
-            cc(j)(j2) = t; cc(j2)(j) = t
-            j2 += 1
-          }
-          cc(j)(j) = 0.0
-          j += 1
-        }
+        counter.pairwise(centroids, cc) // the k×k matrix: the algorithm's signature cost
         // Cluster radii from the members' distances to their own centroid.
         java.util.Arrays.fill(radius, 0.0)
         var i = 0

@@ -78,6 +78,23 @@ final class DistanceCounter {
 
   def dist2(a: Array[Double], b: Array[Double]): Double = { count += 1; Vec.dist2(a, b) }
 
+  /** Fills `out` with the symmetric matrix of distances between `cs`, 0 on
+    * the diagonal: one counted distance per pair j < j2.
+    */
+  def pairwise(cs: Array[Array[Double]], out: Array[Array[Double]]): Unit = {
+    var j = 0
+    while (j < cs.length) {
+      out(j)(j) = 0.0
+      var j2 = j + 1
+      while (j2 < cs.length) {
+        val t = dist(cs(j), cs(j2))
+        out(j)(j2) = t; out(j2)(j) = t
+        j2 += 1
+      }
+      j += 1
+    }
+  }
+
   /** The two nearest of `cs` to `q` by distance, scanned in id order with
     * strict `<`, so the lowest id wins a tie. Centroid `skip` is taken at
     * the already known `skipDist` and not counted.

@@ -7,14 +7,14 @@ package repro.estimator
   */
 final class CostEstimator(q: Int, degree: Int = 4, interactions: Boolean = true)
     extends PerIteration(new PolyRegressor(degree, interactions), q) {
-  private val gp = new GpAdjuster
 
-  /** Remaining-runtime monitor (§V-B2): with actual runtimes of completed
-    * iterations, returns the adjusted estimate of the task total.
+  /** Remaining-runtime monitor (§V-B2): given the actual runtimes of the
+    * completed iterations, the per-iteration estimate adjusted by `gp`, or
+    * `observed` itself once it covers the prediction.
     */
-  def adjustedTotalMs(features: TaskFeatures, observed: Array[Double]): Double = {
+  def adjustedIterRuntimes(features: TaskFeatures, observed: Array[Double], gp: GpAdjuster): Array[Double] = {
     val predicted = predictIterRuntimes(features)
-    if (observed.length >= predicted.length) observed.sum
-    else gp.adjust(predicted, observed).sum
+    if (observed.length >= predicted.length) observed
+    else gp.adjust(predicted, observed)
   }
 }

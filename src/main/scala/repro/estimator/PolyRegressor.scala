@@ -11,7 +11,8 @@ package repro.estimator
   *
   * At `degree = 1, interactions = false, ridge = 0.1` the basis is
   * [1, x_i / scale_i]: the regularised linear model of the paper's "AutoML"
-  * baseline [43] as configured in §VI-A.
+  * baseline [43] as configured in §VI-A. With ridge 1e-9 the same basis is
+  * `PerIteration`'s iteration-count regressor (Eq. 13).
   */
 final class PolyRegressor(val degree: Int, val interactions: Boolean, val ridge: Double = 1e-4) extends RuntimeModel {
   require(degree >= 1, "degree must be >= 1")

@@ -25,12 +25,4 @@ object Simplify {
     val rows = fitted.centroids.indices.map(j => (j, fitted.centroids(j).toSeq, fitted.counts(j)))
     df.sparkSession.createDataFrame(rows).toDF("cluster", "features", "weight")
   }
-
-  /** Random-sampling simplification — the paper's Fig. 1 strawman, used in
-    * tests/benches to contrast coverage uniformity.
-    */
-  def randomSample(df: DataFrame, k: Int, seed: Long = 42L): DataFrame = {
-    import org.apache.spark.sql.functions._
-    df.orderBy(xxhash64(col("id"), lit(seed))).limit(k).select("id", "features")
-  }
 }

@@ -63,18 +63,22 @@ object TableVIII {
     (a, (System.nanoTime() - t0) / 1e6)
   }
 
+  /** One row: times `fit`, then the fitted model's total for each test
+    * task, and scores the totals against the measured ones.
+    */
+  private def row[M](label: String, test: Array[TaskSample])(fit: => M)(predict: (M, TaskFeatures) => Double): MetricsRow = {
+    val (m, trainMs) = timed(fit)
+    val (preds, predMs) = timed(test.map(s => predict(m, s.features)))
+    evaluate(label, test.map(_.totalMs), preds, trainMs, predMs / test.length)
+  }
+
   /** The β × {basic, interaction} sweep of Table VIII proper. */
-  def betaSweep(train: Array[TaskSample], test: Array[TaskSample], q: Int): Seq[MetricsRow] = {
-    val actual = test.map(_.totalMs)
+  def betaSweep(train: Array[TaskSample], test: Array[TaskSample], q: Int): Seq[MetricsRow] =
     for {
       interactions <- Seq(false, true)
       beta <- 1 to 6
-    } yield {
-      val (est, trainMs) = timed(new CostEstimator(q, degree = beta, interactions = interactions).fit(train))
-      val (preds, predMs) = timed(test.map(s => est.predictTotalMs(s.features)))
-      evaluate(s"beta=$beta ${if (interactions) "interaction" else "basic"}", actual, preds, trainMs, predMs / test.length)
-    }
-  }
+    } yield row(s"beta=$beta ${if (interactions) "interaction" else "basic"}", test)(
+      new CostEstimator(q, degree = beta, interactions = interactions).fit(train))(_.predictTotalMs(_))
 
   /** The SOTA runtime predictors of Fig. 11 under the paper's labels;
     * "AutoML" is the regularised linear model of §VI-A (coefficient 0.1).
@@ -89,44 +93,28 @@ object TableVIII {
     * variants, and our estimator.
     */
   def competitorComparison(train: Array[TaskSample], test: Array[TaskSample], q: Int): Seq[MetricsRow] = {
-    val actual = test.map(_.totalMs)
-    val totals = competitors.map { case (label, model) =>
-      val (m, trainMs) = timed(model().fitTotals(train))
-      val (preds, predMs) = timed(test.map(s => m.predictTotal(s.features)))
-      evaluate(label, actual, preds, trainMs, predMs / test.length)
-    }
+    val totals = competitors.map { case (label, model) => row(label, test)(model().fitTotals(train))(_.predictTotal(_)) }
     val perIteration = competitors.map { case (label, model) => s"S-$label" -> new PerIteration(model(), q) } :+
       ("Dask-means" -> new CostEstimator(q))
-    totals ++ perIteration.map { case (label, m) =>
-      val (_, trainMs) = timed(m.fit(train))
-      val (preds, predMs) = timed(test.map(s => m.predictTotalMs(s.features)))
-      evaluate(label, actual, preds, trainMs, predMs / test.length)
-    }
+    totals ++ perIteration.map { case (label, m) => row(label, test)(m.fit(train))(_.predictTotalMs(_)) }
   }
 
   /** Fig. 14 as rows: remaining-runtime estimates after observing the
     * first three iterations — GP-adjusted vs NoGP, plus the paper's
-    * badly-chosen σ=2 lesson.
+    * badly-chosen σ=2 lesson. NoGP is the same estimate before any
+    * iteration is observed, when the GP's posterior is its prior.
     */
   def gpAdjustment(train: Array[TaskSample], test: Array[TaskSample], q: Int): Seq[MetricsRow] = {
     val observe = 3
     val est = new CostEstimator(q).fit(train)
     val eligible = test.filter(_.iterations > observe)
     val actualRemaining = eligible.map(s => s.iterRuntimesMs.drop(observe).sum)
-    def remaining(sigma: Option[Double]): Array[Double] = eligible.map { s =>
-      val predicted = est.predictIterRuntimes(s.features)
-      sigma match {
-        case None => predicted.drop(observe).sum // NoGP
-        case Some(sg) =>
-          val gp = new GpAdjuster(sg)
-          if (predicted.length <= observe) 0.0
-          else gp.adjust(predicted, s.iterRuntimesMs.take(observe)).drop(observe).sum
-      }
-    }
+    def remaining(label: String, observed: Int, gp: GpAdjuster): MetricsRow = evaluate(label, actualRemaining,
+      eligible.map(s => est.adjustedIterRuntimes(s.features, s.iterRuntimesMs.take(observed), gp).drop(observe).sum), 0, 0)
     Seq(
-      evaluate("NoGP", actualRemaining, remaining(None), 0, 0),
-      evaluate("GP sigma=50", actualRemaining, remaining(Some(50.0)), 0, 0),
-      evaluate("GP sigma=2", actualRemaining, remaining(Some(2.0)), 0, 0),
+      remaining("NoGP", 0, new GpAdjuster),
+      remaining("GP sigma=50", observe, new GpAdjuster(50.0)),
+      remaining("GP sigma=2", observe, new GpAdjuster(2.0)),
     )
   }
 

@@ -1,37 +1,13 @@
 package repro.estimator
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestData
 import repro.competitors.{DisNet, XgBoostLite}
-import scala.util.Random
 
 class CostEstimatorSpec extends AnyFunSuite {
 
-  /** Synthetic tasks whose per-iteration runtime follows a known law
-    * (≈ c·n·log k /f + first-iteration surcharge) with mild noise — the
-    * estimator should learn it accurately.
-    */
-  private def syntheticSamples(count: Int, q: Int, seed: Long): Array[TaskSample] = {
-    val rnd = new Random(seed)
-    Array.fill(count) {
-      val n = 1000 + rnd.nextInt(50000)
-      val k = 10 + rnd.nextInt(500)
-      val f = 10 + rnd.nextInt(100)
-      val leaves = math.max(1, 2 * n / f)
-      val features = TaskFeatures(n.toLong, k, 3, f,
-        treeDepth = (math.log(leaves.toDouble) / math.log(2)).toInt + 1,
-        leafNodes = leaves, internalNodes = leaves - 1, avgLeafFill = f / 2.0)
-      val iters = 3 + rnd.nextInt(q - 2)
-      val base = 1e-4 * n * math.log(k + 1.0) / math.sqrt(f.toDouble)
-      val runtimes = Array.tabulate(iters) { i =>
-        val surcharge = if (i == 0) 1.6 else 1.0
-        base * surcharge * (1.0 + 0.02 * rnd.nextGaussian())
-      }
-      TaskSample(features, runtimes)
-    }
-  }
-
   test("fit + predict achieves low WMAPE on the synthetic family") {
-    val all = syntheticSamples(300, 10, 1)
+    val all = TestData.taskSamples(300, 10, 1)
     val (train, test) = all.splitAt(240)
     val est = new CostEstimator(q = 10).fit(train)
     val actual = test.map(_.totalMs)
@@ -41,7 +17,7 @@ class CostEstimatorSpec extends AnyFunSuite {
   }
 
   test("interaction features beat basic features on this family") {
-    val all = syntheticSamples(300, 10, 2)
+    val all = TestData.taskSamples(300, 10, 2)
     val (train, test) = all.splitAt(240)
     val actual = test.map(_.totalMs)
     val inter = new CostEstimator(10, degree = 3, interactions = true).fit(train)
@@ -52,7 +28,7 @@ class CostEstimatorSpec extends AnyFunSuite {
   }
 
   test("per-iteration predictions are non-negative and length = predicted v") {
-    val all = syntheticSamples(100, 8, 3)
+    val all = TestData.taskSamples(100, 8, 3)
     val est = new CostEstimator(8).fit(all)
     all.take(20).foreach { s =>
       val p = est.predictIterRuntimes(s.features)
@@ -62,7 +38,7 @@ class CostEstimatorSpec extends AnyFunSuite {
   }
 
   test("adjustment with a systematic bias improves the estimate") {
-    val all = syntheticSamples(200, 10, 4)
+    val all = TestData.taskSamples(200, 10, 4)
     val (train, test) = all.splitAt(160)
     val est = new CostEstimator(10).fit(train)
     // simulate a device that is 2x slower than the training machine
@@ -73,7 +49,7 @@ class CostEstimatorSpec extends AnyFunSuite {
       if (slowed.length > 3) {
         total += 1
         val plain = est.predictTotalMs(s.features)
-        val adjusted = est.adjustedTotalMs(s.features, slowed.take(3))
+        val adjusted = est.adjustedIterRuntimes(s.features, slowed.take(3), new GpAdjuster).sum
         if (math.abs(adjusted - actualTotal) < math.abs(plain - actualTotal)) adjBetter += 1
       }
     }
@@ -81,11 +57,11 @@ class CostEstimatorSpec extends AnyFunSuite {
   }
 
   test("fully observed task returns the exact observed total") {
-    val all = syntheticSamples(50, 6, 5)
+    val all = TestData.taskSamples(50, 6, 5)
     val est = new CostEstimator(6).fit(all)
     val s = all.head
     val obs = Array.fill(6)(7.0)
-    assert(est.adjustedTotalMs(s.features, obs) == obs.sum)
+    assert(est.adjustedIterRuntimes(s.features, obs, new GpAdjuster).sum == obs.sum)
   }
 
   test("fit on an empty sample set is rejected") {
@@ -93,7 +69,7 @@ class CostEstimatorSpec extends AnyFunSuite {
   }
 
   test("predictions are pinned bit for bit") {
-    val all = syntheticSamples(120, 10, 7)
+    val all = TestData.taskSamples(120, 10, 7)
     val (train, test) = all.splitAt(96)
     def bits(xs: Array[Double]): Int = java.util.Arrays.hashCode(xs.map(java.lang.Double.doubleToLongBits))
     val estimators = for (interactions <- Seq(false, true); beta <- 1 to 6) yield {
@@ -104,7 +80,7 @@ class CostEstimatorSpec extends AnyFunSuite {
     }
     val adjusted = {
       val est = new CostEstimator(10).fit(train)
-      "adjusted" -> bits(test.map(s => est.adjustedTotalMs(s.features, s.iterRuntimesMs.take(2))))
+      "adjusted" -> bits(test.map(s => est.adjustedIterRuntimes(s.features, s.iterRuntimesMs.take(2), new GpAdjuster).sum))
     }
     val competitors = Seq[(String, () => RuntimeModel)](
       "XGBoost" -> (() => new XgBoostLite), "DisNet" -> (() => new DisNet(epochs = 5)),

@@ -50,21 +50,20 @@ class RegressorSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](new PolyRegressor(0, interactions = true))
   }
 
-  test("IterationPredictor fits a linear relation and clamps to [1, q]") {
+  test("PerIteration's iteration count is linear and clamped to [1, q]") {
     val rnd = new Random(4)
-    val xs = Array.fill(200)(Array(rnd.nextDouble() * 10, rnd.nextDouble() * 10))
-    val iters = xs.map(r => math.max(1, math.min(10, (r(0) * 0.8 + 1).round.toInt)))
-    val p = new IterationPredictor(10).fit(xs, iters)
-    val errs = xs.zip(iters).map { case (x, v) => math.abs(p.predict(x) - v) }
+    def features(f: Int, k: Int) = TaskFeatures(10000L, k, 2, f, 10, 500, 499, 20.0)
+    val samples = Array.fill(200) {
+      val (f, k) = (1 + rnd.nextInt(100), 2 + rnd.nextInt(1000))
+      TaskSample(features(f, k), Array.fill(math.max(1, math.min(10, (f * 0.08 + 1).round.toInt)))(1.0))
+    }
+    val m = new PerIteration(new PolyRegressor(1, interactions = false), 10).fit(samples)
+    def v(x: TaskFeatures) = m.predictIterRuntimes(x).length
+    val errs = samples.map(s => math.abs(v(s.features) - s.iterations))
     assert(errs.sum.toDouble / errs.length < 1.0)
-    assert(p.predict(Array(-100.0, 0.0)) == 1, "clamped below")
-    assert(p.predict(Array(100.0, 0.0)) == 10, "clamped above")
-  }
-
-  test("IterationPredictor dummy array has v ones then zeros (Eq. 13 u)") {
-    val p = new IterationPredictor(5)
-    assert(p.dummyArray(2).sameElements(Array(1.0, 1.0, 0.0, 0.0, 0.0)))
-    assert(p.dummyArray(5).forall(_ == 1.0))
+    assert(v(features(-1000, 10)) == 1, "clamped below")
+    assert(v(features(1000, 10)) == 10, "clamped above")
+    intercept[IllegalArgumentException](new PerIteration(new PolyRegressor(1, interactions = false), 0))
   }
 
   test("Metrics match hand computations") {

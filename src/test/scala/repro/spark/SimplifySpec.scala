@@ -1,11 +1,19 @@
 package repro.spark
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{col, lit, xxhash64}
 import repro.SparkSpec
 import repro.baselines.Lloyd
 import repro.core.Vec
 import repro.spatial.SpatialData
 
 class SimplifySpec extends SparkSpec {
+
+  /** Random-sampling simplification: the paper's Fig. 1 strawman, k rows
+    * picked by a seeded hash of the id.
+    */
+  private def randomSample(df: DataFrame, k: Int): DataFrame =
+    df.orderBy(xxhash64(col("id"), lit(42L))).limit(k).select("id", "features")
 
   test("simplify returns k representatives whose weights sum to n") {
     val df = SpatialData.dataset(spark, "Argo-PC", 2000)
@@ -39,8 +47,8 @@ class SimplifySpec extends SparkSpec {
 
   test("randomSample returns k rows deterministically") {
     val df = SpatialData.dataset(spark, "T-drive", 1000)
-    val a = Simplify.randomSample(df, 50).collect().map(_.getLong(0)).sorted
-    val b = Simplify.randomSample(df, 50).collect().map(_.getLong(0)).sorted
+    val a = randomSample(df, 50).collect().map(_.getLong(0)).sorted
+    val b = randomSample(df, 50).collect().map(_.getLong(0)).sorted
     assert(a.length == 50 && a.sameElements(b))
   }
 
@@ -49,7 +57,7 @@ class SimplifySpec extends SparkSpec {
     val data = SpatialData.collectPoints(df)
     val k = 60
     val centroids = Simplify.simplify(df, k, maxIters = 8).collect().map(_.getSeq[Double](1).toArray)
-    val sampled = Simplify.randomSample(df, k).collect().map(_.getSeq[Double](1).toArray)
+    val sampled = randomSample(df, k).collect().map(_.getSeq[Double](1).toArray)
     def coverage(reps: Array[Array[Double]]): Double =
       data.map(p => reps.map(r => Vec.dist2(p, r)).min).sum
     val cKm = coverage(centroids)
