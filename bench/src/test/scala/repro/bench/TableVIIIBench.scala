@@ -13,10 +13,7 @@ class TableVIIIBench extends SparkSpec {
   private lazy val result = TableVIII.run(spark, sampleCount = 200, q = 10)
 
   test("produce and record Table VIII + Fig. 11/14 rows") {
-    BenchOut.write("table_viii.txt",
-      "== Table VIII: degree / interaction sweep ==\n" + TableVIII.render(result.beta) +
-        "\n== Fig. 11 rows: estimator comparison ==\n" + TableVIII.render(result.competitors) +
-        "\n== Fig. 14 rows: GP adjustment ==\n" + TableVIII.render(result.gp))
+    BenchOut.write("table_viii.txt", TableVIII.render(result))
     assert(result.beta.size == 12)
     assert(result.competitors.size == 7)
     assert(result.gp.size == 3)

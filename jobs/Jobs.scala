@@ -93,12 +93,7 @@ object TableVIIIJob {
     val spark = JobSpark.session("table-viii")
     val count = conf.getOrElse("samples", "200").toInt
     val q = conf.getOrElse("q", "10").toInt
-    val res = TableVIII.run(spark, count, q)
-    val text =
-      "== Table VIII: degree / interaction sweep ==\n" + TableVIII.render(res.beta) +
-        "\n== Fig. 11 rows: estimator comparison ==\n" + TableVIII.render(res.competitors) +
-        "\n== Fig. 14 rows: GP adjustment ==\n" + TableVIII.render(res.gp)
-    JobSpark.emit(text, conf)
+    JobSpark.emit(TableVIII.render(TableVIII.run(spark, count, q)), conf)
     spark.stop()
   }
 }

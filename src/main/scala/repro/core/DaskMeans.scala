@@ -27,8 +27,9 @@ import repro.estimator.MemoryEstimator
   * @param useInterBound false ⇒ the NoInB ablation: Eq. 4/5 checks and
   *                      cb[·] maintenance are disabled
   * @param leafCapacity  the paper's f for both trees (memory-tunable, Eq. 12)
-  * @param prebuilt      a cached point index (built once per dataset; reused
-  *                      across runs and by the Spark layer)
+  * @param prebuilt      a point index over the data later given to `run`,
+  *                      so several runs can share one tree (Table VIII's
+  *                      sample generator runs each task twice on one tree)
   */
 final class DaskMeans(
     val useKnn: Boolean = true,

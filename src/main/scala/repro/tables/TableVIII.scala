@@ -130,7 +130,13 @@ object TableVIII {
     Result(betaSweep(train, test, q), competitorComparison(train, test, q), gpAdjustment(train, test, q))
   }
 
-  def render(rows: Seq[MetricsRow]): String = {
+  /** The three sections of the report: Table VIII, Fig. 11 and Fig. 14. */
+  def render(result: Result): String =
+    "== Table VIII: degree / interaction sweep ==\n" + render(result.beta) +
+      "\n== Fig. 11 rows: estimator comparison ==\n" + render(result.competitors) +
+      "\n== Fig. 14 rows: GP adjustment ==\n" + render(result.gp)
+
+  private def render(rows: Seq[MetricsRow]): String = {
     val sb = new StringBuilder
     sb ++= f"${"model"}%-24s ${"MSE"}%12s ${"MAE"}%9s ${"WMAPE"}%7s ${"sMAPE"}%8s ${"train(ms)"}%10s ${"pred(ms)"}%9s" += '\n'
     rows.foreach { r =>
