@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.spatial.SpatialData
 import repro.tables.TableIV
 
 /** Reproduces Table IV: total runtime of the ten algorithms over the six
@@ -11,13 +10,7 @@ import repro.tables.TableIV
   */
 class TableIVBench extends SparkSpec {
 
-  private lazy val rows = TableIV.run(
-    spark,
-    SpatialData.lowDimDatasets,
-    n = 100_000L,
-    ks = Seq(100, 1000, 5000),
-    maxIters = 10,
-  )
+  private lazy val rows = TableIV.lowDim(spark)
 
   private def cell(r: TableIV.Row, algo: String): Option[Double] =
     r.cells.find(_.algorithm == algo).get.runtimeSec

@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.spatial.SpatialData
 import repro.tables.TableIV
 
 /** Reproduces Table V: pruning power on the high-dimensional (128-d /
@@ -12,13 +11,7 @@ import repro.tables.TableIV
   */
 class TableVBench extends SparkSpec {
 
-  private lazy val rows = TableIV.run(
-    spark,
-    SpatialData.highDimDatasets,
-    n = 10_000L,
-    ks = Seq(50, 200, 500),
-    maxIters = 8,
-  )
+  private lazy val rows = TableIV.highDim(spark)
 
   private def cell(r: TableIV.Row, algo: String): Option[Double] =
     r.cells.find(_.algorithm == algo).get.runtimeSec

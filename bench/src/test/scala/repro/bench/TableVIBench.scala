@@ -8,7 +8,7 @@ import repro.tables.TableVI
   */
 class TableVIBench extends SparkSpec {
 
-  private lazy val rows = TableVI.run(spark, n = 100_000L)
+  private lazy val rows = TableVI.run(spark)
 
   test("produce and record Table VI") {
     BenchOut.write("table_vi.txt", TableVI.render(rows))

@@ -10,7 +10,7 @@ import repro.tables.TableVIII
   */
 class TableVIIIBench extends SparkSpec {
 
-  private lazy val result = TableVIII.run(spark, sampleCount = 200, q = 10)
+  private lazy val result = TableVIII.run(spark)
 
   test("produce and record Table VIII + Fig. 11/14 rows") {
     BenchOut.write("table_viii.txt", TableVIII.render(result))

@@ -58,14 +58,6 @@ object Vec {
     var i = 0; while (i < a.length) { out(i) = a(i) * s; i += 1 }
     out
   }
-
-  /** Mean of a non-empty set of vectors. */
-  def mean(vs: IndexedSeq[Array[Double]]): Array[Double] = {
-    val d = vs.head.length
-    val out = new Array[Double](d)
-    vs.foreach(v => addInto(out, v))
-    scale(out, 1.0 / vs.length)
-  }
 }
 
 /** Mutable counter threaded through an algorithm run; one per run, never

@@ -24,9 +24,6 @@ object MemoryEstimator {
     leaves * (d + 3 + f) + internals * (d + 3 + 2)
   }
 
-  /** Paper's printed d=3 approximation of Eq. 10 (for documentation/tests). */
-  def paperIndexFloatsApprox(n: Long, f: Long): Double = 2.0 * n + 28.0 * n / f - 16.0
-
   /** Eq. 11: extra float slots of Dask-means vs Lloyd — both indexes plus
     * the n-integer assignment array (counted as n slots as in the paper).
     */
@@ -36,10 +33,6 @@ object MemoryEstimator {
   /** Extra memory in bytes (8 bytes per slot, 64-bit device as in the paper). */
   def daskMeansExtraBytes(n: Long, k: Long, d: Long, f: Long): Long =
     8L * daskMeansExtraFloats(n, k, d, f)
-
-  /** Paper's printed closed form of Eq. 12 (d=3). */
-  def paperLeafCapacityApprox(n: Long, k: Long, memoryFloats: Double): Double =
-    28.0 * (n + k) / (memoryFloats - 3.0 * n + 32 - 2.0 * k)
 
   /** Eq. 12, memory-tunable index: the smallest leaf capacity f whose
     * estimated footprint fits the budget (slots). The footprint decreases

@@ -11,7 +11,19 @@ object TableIV {
 
   final case class Row(dataset: String, k: Int, cells: Seq[AlgoSuite.Cell])
 
-  def run(
+  /** Table IV at 1/10 of the paper's scale: n = 100k, k ∈ {100, 1000,
+    * 5000}, 10 iterations.
+    */
+  def lowDim(spark: SparkSession): Seq[Row] =
+    run(spark, SpatialData.lowDimDatasets, 100_000L, Seq(100, 1000, 5000), 10)
+
+  /** Table V: n = 10k and k ∈ {50, 200, 500}, smaller than Table IV because
+    * every distance costs d ≥ 128 multiplies; 8 iterations.
+    */
+  def highDim(spark: SparkSession): Seq[Row] =
+    run(spark, SpatialData.highDimDatasets, 10_000L, Seq(50, 200, 500), 8)
+
+  private def run(
       spark: SparkSession,
       datasets: Seq[String],
       n: Long,

@@ -21,7 +21,8 @@ object TableVI {
   def accuracy(estBytes: Double, actBytes: Double): Double =
     if (estBytes <= actBytes) estBytes / actBytes else actBytes / estBytes
 
-  def run(spark: SparkSession, n: Long = 100_000L): Seq[Row] = {
+  def run(spark: SparkSession): Seq[Row] = {
+    val n = 100_000L
     val datasets = Seq("T-drive", "Argo-PC", "3D-RD")
     val ks = Seq(10, 1000, 10_000, 50_000)
     val nFracs = Seq(0.01, 0.05, 0.25, 1.0)

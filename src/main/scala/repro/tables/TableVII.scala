@@ -21,12 +21,10 @@ object TableVII {
       prunedVectors: Long,
   )
 
-  def run(
-      spark: SparkSession,
-      n: Long = 100_000L,
-      ks: Seq[Int] = Seq(100, 1000, 5000),
-      budgetsMb: Seq[Double] = Seq(1.5, 2.0, 3.0),
-  ): Seq[Row] = {
+  def run(spark: SparkSession): Seq[Row] = {
+    val n = 100_000L
+    val ks = Seq(100, 1000, 5000)
+    val budgetsMb = Seq(1.5, 2.0, 3.0)
     val maxIters = 10
     AlgoSuite.warmUp()
     SpatialData.lowDimDatasets.flatMap { name =>

@@ -120,7 +120,10 @@ object TableVIII {
 
   final case class Result(beta: Seq[MetricsRow], competitors: Seq[MetricsRow], gp: Seq[MetricsRow])
 
-  def run(spark: SparkSession, sampleCount: Int = 200, q: Int = 10): Result = {
+  /** Table VIII over 200 measured tasks of at most q = 10 iterations. */
+  def run(spark: SparkSession): Result = {
+    val sampleCount = 200
+    val q = 10
     val samples = generateSamples(spark, sampleCount, q)
     // 80/20 split (the paper's 10% validation fold is folded into test to
     // stabilise the metrics at our smaller sample count)

@@ -1,5 +1,6 @@
 package repro
 
+import repro.core.Vec
 import repro.estimator.{TaskFeatures, TaskSample}
 import scala.util.Random
 
@@ -13,6 +14,13 @@ object TestData {
     val before = mx.getThreadAllocatedBytes(tid)
     body
     mx.getThreadAllocatedBytes(tid) - before
+  }
+
+  /** Mean of a non-empty set of vectors. */
+  def mean(vs: IndexedSeq[Array[Double]]): Array[Double] = {
+    val out = new Array[Double](vs.head.length)
+    vs.foreach(v => Vec.addInto(out, v))
+    Vec.scale(out, 1.0 / vs.length)
   }
 
   /** Uniform noise points in [0, 100]^d. */

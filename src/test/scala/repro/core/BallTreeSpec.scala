@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestData
 import scala.util.Random
 
 class BallTreeSpec extends AnyFunSuite {
@@ -20,7 +21,7 @@ class BallTreeSpec extends AnyFunSuite {
     // radius covers every point
     pts.foreach(p => assert(Vec.dist(node.pivot, data(p)) <= node.radius + 1e-9))
     // pivot is the mean, sum is the componentwise sum
-    val mean = Vec.mean(pts.map(data(_)).toIndexedSeq)
+    val mean = TestData.mean(pts.map(data(_)).toIndexedSeq)
     node.pivot.indices.foreach { i =>
       assert(math.abs(node.pivot(i) - mean(i)) < 1e-7)
       assert(math.abs(node.sum(i) - mean(i) * node.count) < 1e-5)

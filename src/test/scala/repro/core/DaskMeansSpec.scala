@@ -90,7 +90,7 @@ class DaskMeansSpec extends AnyFunSuite {
     val data = TestData.uniform(200, 2, 10)
     val r = new DaskMeans().run(data, 1, 5, KMeans.initCentroids(data, 1, 10))
     assert(r.assignments.forall(_ == 0))
-    val mean = Vec.mean(data.toIndexedSeq)
+    val mean = TestData.mean(data.toIndexedSeq)
     r.centroids(0).indices.foreach(i => assert(math.abs(r.centroids(0)(i) - mean(i)) < 1e-7))
   }
 

@@ -112,7 +112,7 @@ class TreeAssignmentStateSpec extends AnyFunSuite {
     val old = Array(Array(1.0, 1.0, 1.0), Array(9.0, 9.0, 9.0), Array(5.0, 5.0, 5.0))
     val drifts = new Array[Double](3)
     val next = st.refine(old, drifts)
-    val mean = Vec.mean(data.toIndexedSeq)
+    val mean = TestData.mean(data.toIndexedSeq)
     next(0).indices.foreach(i => assert(math.abs(next(0)(i) - mean(i)) < 1e-7))
     assert(next(1).sameElements(old(1)) && drifts(1) == 0.0, "empty cluster keeps its centroid")
     assert(drifts(0) > 0)

