@@ -86,6 +86,8 @@ object DaskAssign {
   /** Inter bounds cb[j] for all centroids via bounded 2-NN over the
     * centroid index (Algorithm 1 lines 6–9). `prevCb`/`drifts` feed the
     * Eq. 9 upper bound; pass `first = true` on the first iteration.
+    * `prevCb` (length k) is overwritten in place with the new bounds and
+    * returned.
     */
   def interBounds(
       centroids: Array[Array[Double]],
@@ -96,7 +98,7 @@ object DaskAssign {
       counter: DistanceCounter,
   ): Array[Double] = {
     val k = centroids.length
-    val cb = new Array[Double](k)
+    val cb = prevCb // cb(j) replaces prevCb(j) only after the Eq. 9 bound has read it
     if (k == 1) { cb(0) = Double.PositiveInfinity; return cb }
     val maxDrift = KMeans.maxDrift(drifts)
     val best = new Best2(Double.PositiveInfinity)

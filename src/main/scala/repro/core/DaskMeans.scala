@@ -26,7 +26,9 @@ import repro.estimator.MemoryEstimator
   *                      all k centroids linearly (no centroid index)
   * @param useInterBound false ⇒ the NoInB ablation: Eq. 4/5 checks and
   *                      cb[·] maintenance are disabled
-  * @param leafCapacity  the paper's f for both trees (memory-tunable, Eq. 12)
+  * @param leafCapacity  the paper's f (memory-tunable, Eq. 12) for the point
+  *                      tree; the centroid index caps it at
+  *                      [[CentroidIndex.MaxLeafCapacity]]
   * @param prebuilt      a point index over the data later given to `run`,
   *                      so several runs can share one tree (Table VIII's
   *                      sample generator runs each task twice on one tree)
@@ -55,11 +57,11 @@ final class DaskMeans(
       counter: DistanceCounter,
   ): KMeansAlgo.Run = new KMeansAlgo.Run {
     private val state = new TreeAssignmentState(data, prebuilt.getOrElse(BallTree.build(data, leafCapacity)), k)
-    private var cb = new Array[Double](k)
+    private val cb = new Array[Double](k)
 
     override def assign(centroids: Array[Array[Double]], it: Int, drifts: Array[Double]): Long = {
       val index = if (useKnn && k > 1) new CentroidIndex(centroids, leafCapacity, counter) else null
-      if (useInterBound) cb = DaskAssign.interBounds(centroids, index, first = it == 0, cb, drifts, counter)
+      if (useInterBound) DaskAssign.interBounds(centroids, index, first = it == 0, cb, drifts, counter)
       DaskAssign.step(state, centroids, if (useInterBound) cb else null, index, counter)
     }
 

@@ -46,7 +46,8 @@ trait KMeansRun {
   def assign(centroids: Array[Array[Double]], it: Int, drifts: Array[Double]): Long
 
   /** The next centroids from the current assignment; writes each one's
-    * drift from `centroids` into `drifts`.
+    * drift from `centroids` into `drifts`. The result may be a buffer of
+    * the run that a later call overwrites, but never `centroids` itself.
     */
   def refine(centroids: Array[Array[Double]], drifts: Array[Double]): Array[Array[Double]]
 }
@@ -178,25 +179,41 @@ object KMeans {
       Vec.addInto(sums(a), data(i)); counts(a) += 1
       i += 1
     }
-    fromSums(sums, counts, old, drifts)
+    fromSums(sums, counts, old, drifts, sums)
   }
 
-  /** Refinement from pre-aggregated (sum, count) pairs. */
+  /** Refinement from pre-aggregated (sum, count) pairs, written into `out`
+    * and returned: each row is its cluster's mean, or a copy of the `old`
+    * row for an emptied cluster. `out` may be `sums` itself but must share
+    * no row with `old`. Writes the drifts into `drifts`.
+    */
   def fromSums(
       sums: Array[Array[Double]],
       counts: Array[Long],
       old: Array[Array[Double]],
       drifts: Array[Double],
+      out: Array[Array[Double]],
   ): Array[Array[Double]] = {
-    val k = old.length
-    val out = new Array[Array[Double]](k)
     var j = 0
-    while (j < k) {
-      out(j) = if (counts(j) > 0) Vec.scale(sums(j), 1.0 / counts(j)) else old(j)
+    while (j < old.length) {
+      if (counts(j) > 0) Vec.scaleInto(out(j), sums(j), 1.0 / counts(j))
+      else System.arraycopy(old(j), 0, out(j), 0, out(j).length)
       drifts(j) = Vec.dist(out(j), old(j))
       j += 1
     }
     out
+  }
+
+  /** Two k×d centroid buffers for a run to refine into by turns: `other(old)`
+    * is the one that is not `old`, so refined centroids never share an
+    * array with the centroids they were refined from, and a run allocates
+    * its centroids once.
+    */
+  final class Buffers(k: Int, d: Int) {
+    private val a = Array.fill(k)(new Array[Double](d))
+    private val b = Array.fill(k)(new Array[Double](d))
+
+    def other(old: Array[Array[Double]]): Array[Array[Double]] = if (old eq a) b else a
   }
 
   def maxDrift(drifts: Array[Double]): Double = { var m = 0.0; var j = 0; while (j < drifts.length) { if (drifts(j) > m) m = drifts(j); j += 1 }; m }

@@ -93,7 +93,14 @@ final class TreeAssignmentState(
     assignments
   }
 
-  /** Refine centroids from the dynamic sums; empty clusters keep theirs. */
+  private lazy val buffers = new KMeans.Buffers(k, d)
+
+  /** Refine centroids from the dynamic sums; empty clusters keep theirs.
+    * Writes into whichever of the state's two centroid buffers `old` is not
+    * and returns it, so it never returns `old` or a row of it and, after
+    * the first call allocates the buffers, allocates nothing. The returned
+    * centroids stay valid until the call after next.
+    */
   def refine(old: Array[Array[Double]], drifts: Array[Double]): Array[Array[Double]] =
-    KMeans.fromSums(sums, counts, old, drifts)
+    KMeans.fromSums(sums, counts, old, drifts, buffers.other(old))
 }

@@ -52,9 +52,11 @@ object Vec {
     var i = 0; while (i < a.length) { a(i) -= b(i); i += 1 }
   }
 
-  /** a / s as a fresh array. */
-  def scale(a: Array[Double], s: Double): Array[Double] = {
-    val out = new Array[Double](a.length)
+  /** a · s as a fresh array. */
+  def scale(a: Array[Double], s: Double): Array[Double] = scaleInto(new Array[Double](a.length), a, s)
+
+  /** out := a · s, in place; returns `out`. */
+  def scaleInto(out: Array[Double], a: Array[Double], s: Double): Array[Double] = {
     var i = 0; while (i < a.length) { out(i) = a(i) * s; i += 1 }
     out
   }

@@ -111,38 +111,39 @@ object DistributedDaskMeans {
     val rows = hashed(df, seed).repartition(parts, col("id")).queryExecution.toRdd
     val runId = java.util.UUID.randomUUID().toString
     val driverCounter = new DistanceCounter
-    var counts: Array[Long] = null
-
-    val run = new KMeansRun {
-      private var cb = new Array[Double](k)
-      private var sums: Array[Array[Double]] = null
-
-      override def assign(centroids: Array[Array[Double]], it: Int, drifts: Array[Double]): Long = {
-        // Driver-side inter bounds over a centroid index (k is small).
-        val index = if (k > 1) new CentroidIndex(centroids, leafCapacity, driverCounter) else null
-        cb = DaskAssign.interBounds(centroids, index, first = it == 0, cb, drifts, driverCounter)
-        val partials = sc.runJob(rows, new Step(runId, k, leafCapacity, centroids, cb)).filter(_ != null)
-
-        // Partition order fixes the order each cluster's sum is added in.
-        // A cluster a partition emptied is skipped: its sum may keep
-        // rounding residue.
-        sums = Array.fill(k)(new Array[Double](centroids(0).length))
-        counts = new Array[Long](k)
-        for (p <- partials; j <- 0 until k if p.counts(j) > 0) {
-          counts(j) += p.counts(j)
-          Vec.addInto(sums(j), p.sums(j))
-        }
-        if (it == 0) require(counts.sum >= k, s"need 1 <= k <= n, got k=$k n=${counts.sum}")
-        partials.map(_.pruned).sum
-      }
-
-      override def refine(centroids: Array[Array[Double]], drifts: Array[Double]): Array[Array[Double]] =
-        KMeans.fromSums(sums, counts, centroids, drifts)
-    }
-
     try {
       val start = init.getOrElse(smallest(sc.runJob(rows, new Pick(runId, k, leafCapacity)), k))
       require(start.length == k, s"need 1 <= k <= n, got k=$k n=${start.length}")
+      val d = start(0).length
+      // One set of driver arrays for the whole fit, refilled every phase.
+      val counts = new Array[Long](k)
+      val run = new KMeansRun {
+        private val cb = new Array[Double](k)
+        private val sums = Array.fill(k)(new Array[Double](d))
+        private val buffers = new KMeans.Buffers(k, d)
+
+        override def assign(centroids: Array[Array[Double]], it: Int, drifts: Array[Double]): Long = {
+          // Driver-side inter bounds over a centroid index (k is small).
+          val index = if (k > 1) new CentroidIndex(centroids, leafCapacity, driverCounter) else null
+          DaskAssign.interBounds(centroids, index, first = it == 0, cb, drifts, driverCounter)
+          val partials = sc.runJob(rows, new Step(runId, k, leafCapacity, centroids, cb)).filter(_ != null)
+
+          // Partition order fixes the order each cluster's sum is added in.
+          // A cluster a partition emptied is skipped: its sum may keep
+          // rounding residue.
+          sums.foreach(java.util.Arrays.fill(_, 0.0))
+          java.util.Arrays.fill(counts, 0L)
+          for (p <- partials; j <- 0 until k if p.counts(j) > 0) {
+            counts(j) += p.counts(j)
+            Vec.addInto(sums(j), p.sums(j))
+          }
+          if (it == 0) require(counts.sum >= k, s"need 1 <= k <= n, got k=$k n=${counts.sum}")
+          partials.map(_.pruned).sum
+        }
+
+        override def refine(centroids: Array[Array[Double]], drifts: Array[Double]): Array[Array[Double]] =
+          KMeans.fromSums(sums, counts, centroids, drifts, buffers.other(centroids))
+      }
       val out = KMeans.iterate(start, maxIters, run)
       FitResult(out.centroids, out.iterations, runId, out.pruned, counts, parts)
     } catch {

@@ -35,6 +35,7 @@ object TableVI {
       val d = data(0).length
       val pointIdx = BallTree.build(data, f)
       val centroids = Array.fill(k)(data(rnd.nextInt(data.length)).clone())
+      // At f, as Eq. 11 models it, not at CentroidIndex's capped capacity.
       val centroidIdx = BallTree.build(centroids, f)
       val act = MemoryMeter.daskMeansActualBytes(pointIdx, centroidIdx, d, data.length.toLong)
       val est = MemoryEstimator.daskMeansExtraBytes(data.length.toLong, k.toLong, d.toLong, f.toLong)

@@ -53,6 +53,23 @@ class CentroidIndexSpec extends AnyFunSuite {
     }
   }
 
+  test("the tree's leaf capacity is capped at 8, and an f = 30 index still matches brute force") {
+    val rnd = new Random(8)
+    val cs = centroids(300, 3, 18)
+    assert(new CentroidIndex(cs, 4, new DistanceCounter).built.leafCapacity == 4)
+    val idx = new CentroidIndex(cs, 30, new DistanceCounter)
+    assert(idx.built.leafCapacity == 8)
+    val out = new Best2(0.0)
+    (1 to 100).foreach { _ =>
+      val q = Array.fill(3)(rnd.nextDouble() * 50)
+      val (i1, d1, i2, d2) = brute2(cs, q)
+      val b1 = idx.nearest(q, 1, Double.PositiveInfinity, out)
+      assert(b1.i1 == i1 && b1.d1 == d1)
+      val b2 = idx.nearest(q, 2, Double.PositiveInfinity, out)
+      assert(b2.i1 == i1 && b2.d1 == d1 && b2.i2 == i2 && b2.d2 == d2)
+    }
+  }
+
   test("a valid upper bound never changes the result") {
     val rnd = new Random(3)
     val cs = centroids(60, 3, 11)

@@ -56,6 +56,22 @@ class DaskAssignSpec extends AnyFunSuite {
     }
   }
 
+  test("interBounds overwrites prevCb in place and returns it") {
+    val (_, _, cs) = fixture(100, 12, 11)
+    val counter = new DistanceCounter
+    val index = new CentroidIndex(cs, 8, counter)
+    val truth = cs.indices.map(j => cs.indices.filter(_ != j).map(o => Vec.dist(cs(j), cs(o))).min)
+    val prevCb = Array.fill(12)(-1.0)
+    assert(DaskAssign.interBounds(cs, index, first = true, prevCb, new Array[Double](12), counter) eq prevCb)
+    cs.indices.foreach(j => assert(math.abs(prevCb(j) - truth(j)) < 1e-9, s"cb($j)"))
+    // The Eq. 9 bound of each j reads prevCb(j) before it is replaced.
+    assert(DaskAssign.interBounds(cs, index, first = false, prevCb, new Array[Double](12), counter) eq prevCb)
+    cs.indices.foreach(j => assert(math.abs(prevCb(j) - truth(j)) < 1e-9, s"cb($j) after a second pass"))
+    val single = Array(0.0)
+    assert(DaskAssign.interBounds(cs.take(1), null, first = true, single, Array(0.0), counter) eq single)
+    assert(single(0) == Double.PositiveInfinity)
+  }
+
   test("interBounds via linear scan (NokNN) agrees with the indexed path") {
     val (_, _, cs) = fixture(80, 10, 4)
     val counter = new DistanceCounter

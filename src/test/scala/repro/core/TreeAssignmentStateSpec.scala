@@ -117,4 +117,30 @@ class TreeAssignmentStateSpec extends AnyFunSuite {
     assert(next(1).sameElements(old(1)) && drifts(1) == 0.0, "empty cluster keeps its centroid")
     assert(drifts(0) > 0)
   }
+
+  test("refine matches the allocating fromSums bit for bit, never aliases old and allocates only on its first call") {
+    val (data, st) = freshState(300, 4, 10)
+    val bits = (cs: Array[Array[Double]]) => cs.toSeq.map(_.toSeq.map(java.lang.Double.doubleToLongBits))
+    val drifts = new Array[Double](4)
+    var old = KMeans.initCentroids(data, 4, 11)
+    // Cluster 3 is never assigned; clusters 1 and 2 empty in the last round.
+    val rounds = Seq[() => Unit](
+      () => { st.batchAssign(st.tree.root, 0); st.pushDown(st.tree.root)(); st.batchAssign(st.tree.root.right, 1) },
+      () => { st.pushDown(st.tree.root.right)(); st.batchAssign(st.tree.root.right.left, 2) },
+      () => st.batchAssign(st.tree.root, 0),
+    )
+    rounds.foreach { round =>
+      round()
+      // What fromSums computed when it allocated its result.
+      val want = old.indices.map(j => if (st.counts(j) > 0) Vec.scale(st.sums(j), 1.0 / st.counts(j)) else old(j)).toArray
+      val next = st.refine(old, drifts)
+      assert(bits(next) == bits(want) && drifts.sameElements(want.indices.map(j => Vec.dist(want(j), old(j)))))
+      assert(!(next eq old) && next.forall(row => !old.exists(_ eq row)), "refine aliases old")
+      old = next
+    }
+    assert(st.counts(1) == 0 && st.counts(2) == 0 && st.counts(3) == 0)
+    var next = old
+    val allocated = TestData.allocatedBytes { var i = 0; while (i < 4) { next = st.refine(next, drifts); i += 1 } }
+    assert(allocated == 0, s"$allocated bytes allocated by four refines")
+  }
 }
