@@ -7,8 +7,16 @@ package repro.core
 object DaskAssign {
 
   /** Run one assignment phase over `state` against `centroids`. With an
-    * index, the phase allocates two result queues, one for node searches
-    * and one for point searches, and nothing per search.
+    * index, every node search (the 2-NN for Eq. 6) and point search (the
+    * 1-NN after Eq. 4) runs over a candidate list inherited from its parent
+    * node, next to the Eq. 7 bound: the root's list is the centroid index's
+    * root, and each node that is neither kept by Eq. 5 nor batch-assigned
+    * by Eq. 6 narrows its list for its children or points
+    * ([[CentroidIndex.narrow]]). The lists hold every nearest 1/2, so the
+    * assignments are those of root-down searches; only the distance count
+    * differs. The lists live in `state.candidates`; the phase allocates two
+    * result queues, one for node searches and one for point searches, and
+    * nothing per search.
     *
     * @param cb     inter bounds per centroid (Eq. 3); pass null to disable
     *               the Eq. 4/5 checks (the NoInB ablation)
@@ -35,8 +43,10 @@ object DaskAssign {
 
     val nodeBest = new Best2(Double.PositiveInfinity)
     val pointBest = new Best2(Double.PositiveInfinity)
+    val lists = if (index != null) state.candidates else null
 
-    def assignPoint(p: Int, ub: Double): Unit = {
+    // [from, until): the search's candidate list in `lists`, unused without an index.
+    def assignPoint(p: Int, ub: Double, from: Int, until: Int): Unit = {
       val prev = state.assignments(p)
       var seedDist = -1.0
       if (prev >= 0) {
@@ -44,12 +54,12 @@ object DaskAssign {
         if (cb != null && seedDist < cb(prev) / 2) { pruned += 1; return } // Eq. 4
       }
       val n1 =
-        if (index != null) index.nearest(data(p), 1, ub, pointBest, prev, seedDist).i1
+        if (index != null) index.nearestIn(data(p), 1, ub, pointBest, prev, seedDist, lists, from, until).i1
         else counter.nearest2(data(p), centroids, prev, seedDist).i1
       state.assignPoint(p, n1)
     }
 
-    def assignNode(node: BallNode, ub: Double): Unit = {
+    def assignNode(node: BallNode, ub: Double, from: Int, until: Int): Unit = {
       val prev = state.owner(node)
       var seedDist = -1.0
       if (prev >= 0) {
@@ -60,7 +70,7 @@ object DaskAssign {
         }
       }
       val b =
-        if (index != null) index.nearest(node.pivot, 2, ub, nodeBest, prev, seedDist)
+        if (index != null) index.nearestIn(node.pivot, 2, ub, nodeBest, prev, seedDist, lists, from, until)
         else counter.nearest2(node.pivot, centroids, prev, seedDist)
       if (b.d2 - b.d1 > 2 * node.radius) { // Eq. 6
         state.batchAssign(node, b.i1)
@@ -68,18 +78,22 @@ object DaskAssign {
       } else if (node.isLeaf) {
         state.pushDown(node)()
         val pointUb = b.d1 + node.radius
+        val end = if (index != null) index.narrow(lists, from, until, b.d1 + 2 * node.radius) else until
         var i = 0
-        while (i < node.points.length) { assignPoint(node.points(i), pointUb); i += 1 }
+        while (i < node.points.length) { assignPoint(node.points(i), pointUb, until, end); i += 1 }
       } else {
         state.pushDown(node)()
-        // Eq. 7: inherited bound, read before the recursion reuses `nodeBest`.
+        // Eq. 7: inherited bound and list, taken before the recursion reuses `nodeBest`.
         val childUb = b.d2 + node.radius
-        assignNode(node.left, childUb)
-        assignNode(node.right, childUb)
+        val end = if (index != null) index.narrow(lists, from, until, b.d2 + 2 * node.radius) else until
+        assignNode(node.left, childUb, until, end)
+        assignNode(node.right, childUb, until, end)
       }
     }
 
-    assignNode(state.tree.root, Double.PositiveInfinity)
+    val rootEnd = if (index != null) lists.bind(index) else 0
+    assignNode(state.tree.root, Double.PositiveInfinity, 0, rootEnd)
+    if (index != null) lists.unbind()
     pruned
   }
 

@@ -9,7 +9,8 @@ package repro.core
   * assigned). Markers are pushed one level down only when a traversal
   * descends past the node, so per-iteration cost is proportional to the
   * assignment frontier. The markers belong to this state, not to the tree,
-  * so several states can share one tree.
+  * so several states can share one tree; so do the candidate lists that
+  * [[DaskAssign.step]] hands down the tree.
   */
 final class TreeAssignmentState(
     val data: Array[Array[Double]],
@@ -94,6 +95,11 @@ final class TreeAssignmentState(
   }
 
   private lazy val buffers = new KMeans.Buffers(k, d)
+
+  /** The candidate lists and distance scratch of [[DaskAssign.step]]'s
+    * searches, reused by every step of the run.
+    */
+  lazy val candidates: CandidateLists = new CandidateLists(k)
 
   /** Refine centroids from the dynamic sums; empty clusters keep theirs.
     * Writes into whichever of the state's two centroid buffers `old` is not

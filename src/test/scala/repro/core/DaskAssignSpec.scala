@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestData
+import scala.util.Random
 
 /** Direct tests of the shared per-pass API ([[DaskAssign]]) that both the
   * serial loop and the Spark per-partition operator consume.
@@ -124,20 +125,96 @@ class DaskAssignSpec extends AnyFunSuite {
   }
 
   test("a step with the index and inter bounds allocates no queue per search") {
-    val k = 200
-    val (_, state, cs) = fixture(20000, k, 10)
-    val counter = new DistanceCounter
-    val index0 = new CentroidIndex(cs, 16, counter)
-    val cb = DaskAssign.interBounds(cs, index0, first = true, new Array[Double](k), new Array[Double](k), counter)
-    DaskAssign.step(state, cs, cb, index0, counter) // warm-up
-    val drifts = new Array[Double](k)
-    val next = state.refine(cs, drifts)
-    val index = new CentroidIndex(next, 16, counter)
-    val nextCb = DaskAssign.interBounds(next, index, first = false, cb, drifts, counter)
-    val distancesBefore = counter.count
-    val allocated = TestData.allocatedBytes(DaskAssign.step(state, next, nextCb, index, counter))
-    assert(counter.count - distancesBefore > 10000, "the step did too little work to measure")
-    assert(allocated < 64 * 1024, s"$allocated bytes allocated by one step")
+    // 104 bytes at both sizes before the candidate lists, and after them.
+    for ((n, k) <- Seq((20000, 200), (100000, 2000))) {
+      val (_, state, cs) = fixture(n, k, 10)
+      val counter = new DistanceCounter
+      val index0 = new CentroidIndex(cs, 16, counter)
+      val cb = DaskAssign.interBounds(cs, index0, first = true, new Array[Double](k), new Array[Double](k), counter)
+      DaskAssign.step(state, cs, cb, index0, counter) // warm-up; sizes the run's candidate lists
+      val drifts = new Array[Double](k)
+      val next = state.refine(cs, drifts)
+      val index = new CentroidIndex(next, 16, counter)
+      val nextCb = DaskAssign.interBounds(next, index, first = false, cb, drifts, counter)
+      val distancesBefore = counter.count
+      val allocated = TestData.allocatedBytes(DaskAssign.step(state, next, nextCb, index, counter))
+      assert(counter.count - distancesBefore > 10000, s"n=$n k=$k: the step did too little work to measure")
+      assert(allocated < 1024, s"n=$n k=$k: $allocated bytes allocated by one step")
+    }
+  }
+
+  /** Inputs with exact ties: uniform, an integer grid, exact duplicates and
+    * collinear (x, 2x) points.
+    */
+  private def tiedInputs(seed: Long): Seq[(String, Array[Array[Double]])] = {
+    val rnd = new Random(seed)
+    val base = Array.fill(40)(Array.fill(3)(rnd.nextDouble() * 10))
+    Seq(
+      "uniform" -> TestData.uniform(500, 2, seed),
+      "grid" -> Array.fill(500)(Array.fill(2)(rnd.nextInt(12).toDouble)),
+      "duplicates" -> Array.fill(500)(base(rnd.nextInt(base.length)).clone()),
+      "collinear" -> Array.fill(500) { val x = rnd.nextInt(60).toDouble; Array(x, 2 * x) },
+    )
+  }
+
+  private def nearestDists(q: Array[Double], cs: Array[Array[Double]]): (Double, Double) = {
+    val ds = cs.map(Vec.dist(q, _)).sorted
+    (ds(0), ds(1))
+  }
+
+  test("inherited candidate lists give the brute-force nearest distances at every node and point") {
+    // k = 8 is a one-leaf centroid index, k = 9 the smallest with two leaves.
+    for ((label, data) <- tiedInputs(21); k <- Seq(2, 8, 9, 60)) {
+      val cs = KMeans.initCentroids(data, k, k.toLong)
+      val index = new CentroidIndex(cs, 8, new DistanceCounter)
+      val lists = new CandidateLists(k)
+      val out = new Best2(0.0)
+      // Compares distances, not ids: on a tie either id is a nearest one.
+      def search(q: Array[Double], want: Int, ub: Double, from: Int, until: Int, what: String): Best2 = {
+        val (t1, t2) = nearestDists(q, cs)
+        val low = index.nearestIn(q, want, t1 / 2, out, -1, 0.0, lists, from, until)
+        assert(low.d1 == t1 && (want == 1 || low.d2 == t2), s"$label k=$k $what: a too small bound")
+        val b = index.nearestIn(q, want, ub, out, -1, 0.0, lists, from, until)
+        assert(b.d1 == t1 && (want == 1 || b.d2 == t2), s"$label k=$k $what")
+        b
+      }
+      def walk(node: BallNode, ub: Double, from: Int, until: Int): Unit = {
+        val b = search(node.pivot, 2, ub, from, until, s"node ${node.id}")
+        if (node.isLeaf) {
+          val pointUb = b.d1 + node.radius
+          val end = index.narrow(lists, from, until, b.d1 + 2 * node.radius)
+          node.points.foreach(p => search(data(p), 1, pointUb, until, end, s"point $p"))
+        } else {
+          val childUb = b.d2 + node.radius
+          val end = index.narrow(lists, from, until, b.d2 + 2 * node.radius)
+          walk(node.left, childUb, until, end)
+          walk(node.right, childUb, until, end)
+        }
+      }
+      walk(BallTree.build(data, 4).root, Double.PositiveInfinity, 0, lists.bind(index))
+    }
+  }
+
+  test("Dask-means and NoInB runs on an integer grid leave every point at a nearest centroid") {
+    val data = tiedInputs(22).toMap.apply("grid")
+    val tree = BallTree.build(data, 4)
+    for (k <- Seq(2, 8, 9, 60); useCb <- Seq(true, false)) {
+      val state = new TreeAssignmentState(data, tree, k)
+      val cb = new Array[Double](k)
+      val drifts = new Array[Double](k)
+      var cs = KMeans.initCentroids(data, k, k.toLong)
+      (0 until 8).foreach { it =>
+        val counter = new DistanceCounter
+        val index = new CentroidIndex(cs, 8, counter)
+        if (useCb) DaskAssign.interBounds(cs, index, first = it == 0, cb, drifts, counter)
+        DaskAssign.step(state, cs, if (useCb) cb else null, index, counter)
+        val a = state.materialize()
+        data.indices.foreach { p =>
+          assert(Vec.dist(data(p), cs(a(p))) == nearestDists(data(p), cs)._1, s"k=$k cb=$useCb iteration $it point $p")
+        }
+        cs = state.refine(cs, drifts)
+      }
+    }
   }
 
   test("k=1 short-circuits to a single batch assignment") {

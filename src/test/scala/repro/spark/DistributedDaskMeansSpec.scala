@@ -302,14 +302,17 @@ class DistributedDaskMeansSpec extends SparkSpec {
     // (iterations, batchPrunedVectors, hash of counts, hash of the
     //  centroids' bits, distances summed over the partition counters).
     // The distances of the inputs with k > 8 were re-recorded when the
-    // centroid index's leaf capacity was capped at 8; every other column
-    // is as recorded.
+    // centroid index's leaf capacity was capped at 8, and all of them when
+    // node and point searches began from the candidate list inherited from
+    // the parent node instead of the index's root (the old values are
+    // noted at each pin; 3D-RD's one-leaf index is replaced by its
+    // centroids). Every other column is as recorded.
     val pinned = Map(
-      ("Argo-PC", 6000, 40, 3, 8, 1L) -> (8, 27414L, 633388187, -2065749010, 551182L),
-      ("T-drive", 5000, 60, 4, 6, 2L) -> (6, 15013L, -1613167283, 1823219830, 418966L),
-      ("Porto", 3000, 25, 5, 10, 9L) -> (10, 18215L, -356922481, 543354841, 253585L),
-      ("3D-RD", 40, 4, 32, 5, 3L) -> (4, 102L, 1172861, 266359331, 608L),
-      ("Argo-AVL", 4000, 15, 4, 6, 6L) -> (6, 13709L, -2005940573, 1014948673, 192926L),
+      ("Argo-PC", 6000, 40, 3, 8, 1L) -> (8, 27414L, 633388187, -2065749010, 247926L), // 551182 from the root
+      ("T-drive", 5000, 60, 4, 6, 2L) -> (6, 15013L, -1613167283, 1823219830, 234322L), // 418966 from the root
+      ("Porto", 3000, 25, 5, 10, 9L) -> (10, 18215L, -356922481, 543354841, 154545L), // 253585 from the root
+      ("3D-RD", 40, 4, 32, 5, 3L) -> (4, 102L, 1172861, 266359331, 590L), // 608 from the root
+      ("Argo-AVL", 4000, 15, 4, 6, 6L) -> (6, 13709L, -2005940573, 1014948673, 87885L), // 192926 from the root
     )
     got.foreach { case (key, out) => assert(out == pinned(key), key) }
   }
