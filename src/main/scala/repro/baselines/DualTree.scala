@@ -106,8 +106,8 @@ final class DualTree extends KMeansAlgo {
             l(p) = nodeLb(id) - node.radius
             pVer(p) = now
           })
-          var i = 0
-          while (i < node.points.length) { visitLeafPoint(node.points(i)); i += 1 }
+          var i = node.start
+          while (i < node.end) { visitLeafPoint(tree.idx(i)); i += 1 }
         } else {
           state.pushDown(node)(onChild = ch => {
             nodeUb(ch.id) = nodeUb(id) + node.radius

@@ -5,32 +5,53 @@ package repro.core
   * Every node stores the pivot `p*` (mean of the covered vectors), the
   * radius `r` bounding all covered vectors, the covered count `|N|` and the
   * running sum of covered vectors (so a whole node can be moved between
-  * clusters in O(d), see §IV-B "dynamic sum vector").
+  * clusters in O(d), see §IV-B "dynamic sum vector"). A node covers the
+  * vectors `idx[start, end)` of its tree's single index array
+  * [[BallTree.Built.idx]]: a leaf's members are that range, in order, and
+  * the children of a node split its range in two.
   *
-  * Nodes are immutable, so one tree can serve any number of runs at once;
-  * each run keeps its cluster markers in a side array indexed by `id`
-  * ([[TreeAssignmentState]]).
+  * Only the build in `repro.core` writes a node. A point tree is built once
+  * and never rebuilt, so one tree can serve any number of runs at once; each
+  * run keeps its cluster markers in a side array indexed by `id`
+  * ([[TreeAssignmentState]]). A [[CentroidIndex]] rebuilds its tree in
+  * place every iteration, into the same node objects: a node of an index,
+  * with its `pivot` and `sum` arrays, stays valid only until the index's
+  * next `rebuild`.
   *
-  * @param id      preorder index, unique within one tree (for side arrays)
-  * @param pivot   mean of all covered vectors
-  * @param radius  max distance from `pivot` to a covered vector
-  * @param count   number of covered vectors
-  * @param sum     componentwise sum of covered vectors
-  * @param left    left child, `null` iff leaf
-  * @param right   right child, `null` iff leaf
-  * @param points  indices (into the dataset) of covered vectors; leaf only
+  * @param id     preorder index, unique within one tree (for side arrays)
+  * @param pivot  mean of all covered vectors
+  * @param sum    componentwise sum of covered vectors
   */
-final class BallNode(
-    val id: Int,
-    val pivot: Array[Double],
-    val radius: Double,
-    val count: Int,
-    val sum: Array[Double],
-    val left: BallNode,
-    val right: BallNode,
-    val points: Array[Int],
-) {
-  def isLeaf: Boolean = left == null
+final class BallNode private[core] (val id: Int, val pivot: Array[Double], val sum: Array[Double]) {
+  private var r = 0.0
+  private var l: BallNode = null
+  private var rt: BallNode = null
+  private var lo = 0
+  private var hi = 0
+
+  /** Max distance from `pivot` to a covered vector. */
+  def radius: Double = r
+
+  /** Left child, `null` iff leaf. */
+  def left: BallNode = l
+
+  /** Right child, `null` iff leaf. */
+  def right: BallNode = rt
+
+  /** First position of the node's range in its tree's `idx`. */
+  def start: Int = lo
+
+  /** End (exclusive) of the node's range in its tree's `idx`. */
+  def end: Int = hi
+
+  /** Number of covered vectors. */
+  def count: Int = hi - lo
+
+  def isLeaf: Boolean = l == null
+
+  private[core] def set(radius: Double, left: BallNode, right: BallNode, start: Int, end: Int): Unit = {
+    r = radius; l = left; rt = right; lo = start; hi = end
+  }
 }
 
 /** Structural summary of a tree: the cost estimator's index meta-features
@@ -49,30 +70,61 @@ final case class TreeStats(
   */
 object BallTree {
 
-  final class Built(val root: BallNode, val nodeCount: Int, val leafCapacity: Int)
+  /** A built tree: its nodes, by preorder id, and the permutation `idx` of
+    * the vectors' indices whose ranges the nodes cover.
+    */
+  final class Built private[core] (val leafCapacity: Int, val idx: Array[Int]) {
+    private var pool = new Array[BallNode](4 * idx.length / leafCapacity + 1)
+    private var size = 0
+    private var data: Array[Array[Double]] = null
 
-  def build(data: Array[Array[Double]], leafCapacity: Int): Built = {
-    require(data.nonEmpty, "cannot build a Ball-tree over an empty dataset")
-    require(leafCapacity >= 2, s"leaf capacity must be >= 2, got $leafCapacity")
-    val idx = Array.range(0, data.length)
-    var nextId = 0
-    def newId(): Int = { val i = nextId; nextId += 1; i }
+    def nodeCount: Int = size
 
-    def mk(lo: Int, hi: Int): BallNode = {
+    def root: BallNode = pool(0)
+
+    /** The node with preorder id `id` < [[nodeCount]]. */
+    def node(id: Int): BallNode = pool(id)
+
+    /** Builds the tree over `data`, one vector per entry of `idx`, into this
+      * tree's own nodes: node `id` of the new tree reuses the node object
+      * and arrays of the old tree's node `id`, and the pool of nodes grows
+      * only when the new tree has more nodes than any tree before it. The
+      * tree is the one a fresh [[BallTree.build]] makes, bit for bit: `idx`
+      * restarts from the identity, sums are zeroed and add the vectors in
+      * `idx` order, and pivots scale them as `Vec.scale` does.
+      */
+    private[core] def buildFrom(data: Array[Array[Double]]): Unit = {
+      var i = 0
+      while (i < idx.length) { idx(i) = i; i += 1 }
+      size = 0
+      this.data = data
+      mk(0, idx.length)
+      this.data = null
+    }
+
+    /** The next preorder slot, holding `d`-dimensional arrays. */
+    private def slot(d: Int): BallNode = {
+      val id = size
+      if (id == pool.length) pool = java.util.Arrays.copyOf(pool, 2 * id)
+      if (pool(id) == null || pool(id).pivot.length != d)
+        pool(id) = new BallNode(id, new Array[Double](d), new Array[Double](d))
+      size += 1
+      pool(id)
+    }
+
+    private def mk(lo: Int, hi: Int): BallNode = {
       val n = hi - lo
-      val d = data(idx(lo)).length
-      val sum = new Array[Double](d)
+      val node = slot(data(idx(lo)).length)
+      val sum = node.sum
+      java.util.Arrays.fill(sum, 0.0)
       var i = lo
       while (i < hi) { Vec.addInto(sum, data(idx(i))); i += 1 }
-      val pivot = Vec.scale(sum, 1.0 / n)
+      val pivot = Vec.scaleInto(node.pivot, sum, 1.0 / n)
       var radius = 0.0
       i = lo
       while (i < hi) { val t = Vec.dist(pivot, data(idx(i))); if (t > radius) radius = t; i += 1 }
-      val id = newId()
-      if (n <= leafCapacity) {
-        val pts = java.util.Arrays.copyOfRange(idx, lo, hi)
-        new BallNode(id, pivot, radius, n, sum, null, null, pts)
-      } else {
+      if (n <= leafCapacity) node.set(radius, null, null, lo, hi)
+      else {
         // Farthest from pivot, then farthest from that: an approximate diameter.
         var p1 = idx(lo); var best = -1.0
         i = lo
@@ -93,12 +145,18 @@ object BallTree {
         if (mid == lo || mid == hi) mid = lo + n / 2
         val l = mk(lo, mid)
         val r = mk(mid, hi)
-        new BallNode(id, pivot, radius, n, sum, l, r, null)
+        node.set(radius, l, r, lo, hi)
       }
+      node
     }
+  }
 
-    val root = mk(0, data.length)
-    new Built(root, nextId, leafCapacity)
+  def build(data: Array[Array[Double]], leafCapacity: Int): Built = {
+    require(data.nonEmpty, "cannot build a Ball-tree over an empty dataset")
+    require(leafCapacity >= 2, s"leaf capacity must be >= 2, got $leafCapacity")
+    val t = new Built(leafCapacity, new Array[Int](data.length))
+    t.buildFrom(data)
+    t
   }
 
   def stats(root: BallNode): TreeStats = {

@@ -16,7 +16,13 @@ package repro.core
   * a traversal hands candidates down the point tree as well as the Eq. 7
   * bound (the "filtering" of Kanungo et al., TPAMI 2002). The lists and
   * the recorded distances live in a run-owned [[CandidateLists]]; the index
-  * is read-only once built.
+  * is read-only between rebuilds.
+  *
+  * [[rebuild]] builds the tree over the next iteration's centroids into the
+  * same index, so a run holds one index and, once the tree has reached its
+  * largest node count, an iteration allocates nothing for it. The rebuilt
+  * tree is the one a fresh index over those centroids would hold, node for
+  * node and bit for bit.
   *
   * The tree's leaf capacity is min(f, [[CentroidIndex.MaxLeafCapacity]]):
   * f is sized for the memory of the point tree (Eq. 12), while a search
@@ -24,12 +30,32 @@ package repro.core
   * Eq. 8 prune more. Results are the exact nearest 1/2 whatever the shape.
   */
 final class CentroidIndex(
-    val centroids: Array[Array[Double]],
+    initial: Array[Array[Double]],
     leafCapacity: Int,
     counter: DistanceCounter,
 ) {
+  private var cs: Array[Array[Double]] = initial
+
   val built: BallTree.Built =
-    BallTree.build(centroids, math.max(2, math.min(leafCapacity, CentroidIndex.MaxLeafCapacity)))
+    BallTree.build(initial, math.max(2, math.min(leafCapacity, CentroidIndex.MaxLeafCapacity)))
+
+  /** The centroids the tree was last built over. */
+  def centroids: Array[Array[Double]] = cs
+
+  /** Rebuilds the tree over `centroids` (as many, of the same dimension, as
+    * the index was made with) in place and returns this index. The nodes of
+    * the previous tree are overwritten. Allocates nothing unless the new
+    * tree has more nodes than every earlier one.
+    */
+  def rebuild(centroids: Array[Array[Double]]): CentroidIndex = {
+    if (centroids.length != cs.length || centroids(0).length != cs(0).length)
+      throw new IllegalArgumentException(
+        s"an index over ${cs.length} centroids of dimension ${cs(0).length}, " +
+          s"rebuilt over ${centroids.length} of dimension ${centroids(0).length}")
+    cs = centroids
+    built.buildFrom(centroids)
+    this
+  }
 
   @inline private def threshold(b: Best2, want: Int): Double = if (want == 1) b.d1 else b.d2
 
@@ -38,10 +64,11 @@ final class CentroidIndex(
     */
   private def search(b: Best2, want: Int, q: Array[Double], node: BallNode, lists: CandidateLists): Unit =
     if (node.isLeaf) {
-      var i = 0
-      while (i < node.points.length) {
-        val ci = node.points(i)
-        val d = counter.dist(q, centroids(ci))
+      val idx = built.idx
+      var i = node.start
+      while (i < node.end) {
+        val ci = idx(i)
+        val d = counter.dist(q, cs(ci))
         if (lists != null) lists.recordCentroid(ci, d)
         if (d < threshold(b, want)) b.insert(ci, d)
         i += 1
@@ -106,7 +133,7 @@ final class CentroidIndex(
 
   private def searchList(b: Best2, want: Int, q: Array[Double], lists: CandidateLists, from: Int, until: Int): Unit = {
     val entries = lists.entries
-    if (until - from == 1 && entries(from) >= 0) { search(b, want, q, lists.nodes(entries(from)), lists); return }
+    if (until - from == 1 && entries(from) >= 0) { search(b, want, q, built.node(entries(from)), lists); return }
     var first = -1
     var firstLb = Double.PositiveInfinity
     var i = from
@@ -114,11 +141,11 @@ final class CentroidIndex(
       val e = entries(i)
       if (e < 0) {
         val c = ~e
-        val d = counter.dist(q, centroids(c))
+        val d = counter.dist(q, cs(c))
         lists.recordCentroid(c, d)
         if (d < threshold(b, want)) b.insert(c, d)
       } else {
-        val node = lists.nodes(e)
+        val node = built.node(e)
         val d = counter.dist(q, node.pivot)
         lists.recordNode(e, d)
         if (d - node.radius < firstLb) { firstLb = d - node.radius; first = i }
@@ -126,11 +153,11 @@ final class CentroidIndex(
       i += 1
     }
     if (first < 0) return
-    visit(b, want, q, lists.nodes(entries(first)), lists.nodeDist(entries(first)), lists)
+    visit(b, want, q, built.node(entries(first)), lists.nodeDist(entries(first)), lists)
     i = from
     while (i < until) {
       val e = entries(i)
-      if (e >= 0 && i != first) visit(b, want, q, lists.nodes(e), lists.nodeDist(e), lists)
+      if (e >= 0 && i != first) visit(b, want, q, built.node(e), lists.nodeDist(e), lists)
       i += 1
     }
   }
@@ -164,14 +191,14 @@ final class CentroidIndex(
   private def keep(lists: CandidateLists, e: Int, limit: Double): Unit =
     if (e < 0) { if (lists.centroidDist(~e) <= limit) lists.push(e) } // a listed centroid is always measured
     else {
-      val node = lists.nodes(e)
+      val node = built.node(e)
       if (lists.measuredNode(e) && lists.nodeDist(e) - node.radius > limit) ()
       else if (node.isLeaf) {
         // Lists are disjoint, so the leaf's centroids were measured only if the search scanned it.
-        if (lists.measuredCentroid(node.points(0))) {
-          var i = 0
-          while (i < node.points.length) {
-            val c = node.points(i)
+        if (lists.measuredCentroid(built.idx(node.start))) {
+          var i = node.start
+          while (i < node.end) {
+            val c = built.idx(i)
             if (lists.centroidDist(c) <= limit) lists.push(~c)
             i += 1
           }
@@ -209,7 +236,6 @@ final class CandidateLists(k: Int) {
   private[core] var entries: Array[Int] = new Array[Int](64)
   private[core] var top: Int = 0
   private[core] var index: CentroidIndex = null
-  private[core] var nodes: Array[BallNode] = new Array[BallNode](0)
   private[core] var nodeDist: Array[Double] = new Array[Double](0)
   private var nodeStamp: Array[Int] = new Array[Int](0)
   private[core] val centroidDist: Array[Double] = new Array[Double](k)
@@ -223,23 +249,14 @@ final class CandidateLists(k: Int) {
     if (index.centroids.length > k) // not `require`: its message closure would be allocated on every call
       throw new IllegalArgumentException(s"an index over ${index.centroids.length} centroids, lists for $k")
     val n = index.built.nodeCount
-    if (nodes.length < n) {
-      val size = n + n / 4
-      nodes = new Array[BallNode](size); nodeDist = new Array[Double](size); nodeStamp = new Array[Int](size)
-    }
-    fill(index.built.root)
+    if (nodeDist.length < n) { val size = n + n / 4; nodeDist = new Array[Double](size); nodeStamp = new Array[Int](size) }
     this.index = index
     entries(0) = index.built.root.id
     1
   }
 
-  /** Drops the references to the bound index's tree. */
-  def unbind(): Unit = { java.util.Arrays.fill(nodes.asInstanceOf[Array[AnyRef]], null); index = null }
-
-  private def fill(node: BallNode): Unit = {
-    nodes(node.id) = node
-    if (!node.isLeaf) { fill(node.left); fill(node.right) }
-  }
+  /** Drops the reference to the bound index. */
+  def unbind(): Unit = index = null
 
   private[core] def newSearch(): Unit = {
     if (stamp == Int.MaxValue) {

@@ -34,6 +34,7 @@ object DaskAssign {
   ): Long = {
     val k = centroids.length
     val data = state.data
+    val idx = state.tree.idx
     var pruned = 0L
 
     if (k == 1) {
@@ -79,8 +80,8 @@ object DaskAssign {
         state.pushDown(node)()
         val pointUb = b.d1 + node.radius
         val end = if (index != null) index.narrow(lists, from, until, b.d1 + 2 * node.radius) else until
-        var i = 0
-        while (i < node.points.length) { assignPoint(node.points(i), pointUb, until, end); i += 1 }
+        var i = node.start
+        while (i < node.end) { assignPoint(idx(i), pointUb, until, end); i += 1 }
       } else {
         state.pushDown(node)()
         // Eq. 7: inherited bound and list, taken before the recursion reuses `nodeBest`.

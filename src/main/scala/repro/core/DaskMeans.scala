@@ -5,7 +5,7 @@ import repro.estimator.MemoryEstimator
 /** The paper's memory-efficient accelerator (§IV, Algorithm 1).
   *
   * A Ball-tree is built once over the spatial vectors and another over the
-  * centroids every iteration. Assignment recursively traverses the point
+  * centroids every iteration, rebuilt in place into one index per run. Assignment recursively traverses the point
   * tree:
   *
   *  - Eq. 5: a wholly-assigned node stays in its cluster when
@@ -58,9 +58,11 @@ final class DaskMeans(
   ): KMeansAlgo.Run = new KMeansAlgo.Run {
     private val state = new TreeAssignmentState(data, prebuilt.getOrElse(BallTree.build(data, leafCapacity)), k)
     private val cb = new Array[Double](k)
+    private var index: CentroidIndex = null
 
     override def assign(centroids: Array[Array[Double]], it: Int, drifts: Array[Double]): Long = {
-      val index = if (useKnn && k > 1) new CentroidIndex(centroids, leafCapacity, counter) else null
+      if (useKnn && k > 1)
+        index = if (index == null) new CentroidIndex(centroids, leafCapacity, counter) else index.rebuild(centroids)
       if (useInterBound) DaskAssign.interBounds(centroids, index, first = it == 0, cb, drifts, counter)
       DaskAssign.step(state, centroids, if (useInterBound) cb else null, index, counter)
     }

@@ -22,6 +22,7 @@ final class TreeAssignmentState(
   val counts: Array[Long] = new Array[Long](k)
   val sums: Array[Array[Double]] = Array.fill(k)(new Array[Double](d))
   private val owners: Array[Int] = Array.fill(tree.nodeCount)(-1)
+  private val idx: Array[Int] = tree.idx
 
   /** The cluster that holds the whole subtree of `node`, or −1. */
   def owner(node: BallNode): Int = owners(node.id)
@@ -31,9 +32,9 @@ final class TreeAssignmentState(
     val c = owners(node.id)
     if (c >= 0) { counts(c) -= node.count; Vec.subInto(sums(c), node.sum) }
     else if (node.isLeaf) {
-      var i = 0
-      while (i < node.points.length) {
-        val p = node.points(i); val a = assignments(p)
+      var i = node.start
+      while (i < node.end) {
+        val p = idx(i); val a = assignments(p)
         if (a >= 0) { counts(a) -= 1; Vec.subInto(sums(a), data(p)) }
         i += 1
       }
@@ -59,9 +60,9 @@ final class TreeAssignmentState(
     val c = owners(node.id)
     if (c < 0) return
     if (node.isLeaf) {
-      var i = 0
-      while (i < node.points.length) {
-        val p = node.points(i)
+      var i = node.start
+      while (i < node.end) {
+        val p = idx(i)
         if (assignments(p) != c) { assignments(p) = c; onPoint(p) }
         i += 1
       }
@@ -84,9 +85,7 @@ final class TreeAssignmentState(
 
   /** Resolve outstanding whole-subtree markers into the per-point array. */
   def materialize(): Array[Int] = {
-    def setAll(node: BallNode, c: Int): Unit =
-      if (node.isLeaf) { var i = 0; while (i < node.points.length) { assignments(node.points(i)) = c; i += 1 } }
-      else { setAll(node.left, c); setAll(node.right, c) }
+    def setAll(node: BallNode, c: Int): Unit = { var i = node.start; while (i < node.end) { assignments(idx(i)) = c; i += 1 } }
     def walk(node: BallNode): Unit =
       if (owners(node.id) >= 0) setAll(node, owners(node.id))
       else if (!node.isLeaf) { walk(node.left); walk(node.right) }

@@ -121,10 +121,12 @@ object DistributedDaskMeans {
         private val cb = new Array[Double](k)
         private val sums = Array.fill(k)(new Array[Double](d))
         private val buffers = new KMeans.Buffers(k, d)
+        private var index: CentroidIndex = null
 
         override def assign(centroids: Array[Array[Double]], it: Int, drifts: Array[Double]): Long = {
-          // Driver-side inter bounds over a centroid index (k is small).
-          val index = if (k > 1) new CentroidIndex(centroids, leafCapacity, driverCounter) else null
+          // Driver-side inter bounds over one centroid index, rebuilt in place (k is small).
+          if (k > 1)
+            index = if (index == null) new CentroidIndex(centroids, leafCapacity, driverCounter) else index.rebuild(centroids)
           DaskAssign.interBounds(centroids, index, first = it == 0, cb, drifts, driverCounter)
           val partials = sc.runJob(rows, new Step(runId, k, leafCapacity, centroids, cb)).filter(_ != null)
 

@@ -17,17 +17,13 @@ object BallTreeProps extends Properties("BallTree") {
 
   property("covers every point exactly once") = Prop.forAll(dataGen, fGen) { (data, f) =>
     val t = BallTree.build(data, f)
-    def collect(n: BallNode): Seq[Int] =
-      if (n.isLeaf) n.points.toSeq else collect(n.left) ++ collect(n.right)
-    collect(t.root).sorted == data.indices.toSeq
+    Trees.covered(t, t.root).sorted == data.indices.toSeq
   }
 
   property("radius bounds all covered points") = Prop.forAll(dataGen, fGen) { (data, f) =>
     val t = BallTree.build(data, f)
     def ok(n: BallNode): Boolean = {
-      def covered(x: BallNode): Seq[Int] =
-        if (x.isLeaf) x.points.toSeq else covered(x.left) ++ covered(x.right)
-      covered(n).forall(p => Vec.dist(n.pivot, data(p)) <= n.radius + 1e-9) &&
+      Trees.covered(t, n).forall(p => Vec.dist(n.pivot, data(p)) <= n.radius + 1e-9) &&
         (n.isLeaf || (ok(n.left) && ok(n.right)))
     }
     ok(t.root)

@@ -11,12 +11,8 @@ class BallTreeSpec extends AnyFunSuite {
     Array.fill(n)(Array.fill(d)(rnd.nextDouble() * 100))
   }
 
-  private def collectPoints(node: BallNode): Seq[Int] =
-    if (node.isLeaf) node.points.toSeq
-    else collectPoints(node.left) ++ collectPoints(node.right)
-
-  private def checkInvariants(data: Array[Array[Double]], node: BallNode, f: Int): Unit = {
-    val pts = collectPoints(node)
+  private def checkInvariants(data: Array[Array[Double]], t: BallTree.Built, node: BallNode, f: Int): Unit = {
+    val pts = Trees.covered(t, node)
     assert(node.count == pts.size, "count must match covered points")
     // radius covers every point
     pts.foreach(p => assert(Vec.dist(node.pivot, data(p)) <= node.radius + 1e-9))
@@ -29,22 +25,22 @@ class BallTreeSpec extends AnyFunSuite {
     if (node.isLeaf) assert(node.count <= f, s"leaf holds ${node.count} > f=$f")
     else {
       assert(node.left.count + node.right.count == node.count)
-      checkInvariants(data, node.left, f)
-      checkInvariants(data, node.right, f)
+      checkInvariants(data, t, node.left, f)
+      checkInvariants(data, t, node.right, f)
     }
   }
 
   test("build covers every point exactly once") {
     val data = randomData(500, 3, 1)
     val t = BallTree.build(data, 16)
-    assert(collectPoints(t.root).sorted == (0 until 500))
+    assert(Trees.covered(t, t.root).sorted == (0 until 500))
   }
 
   test("invariants hold for random data across shapes") {
     for ((n, d, f) <- Seq((100, 2, 4), (257, 3, 16), (1000, 2, 30), (64, 5, 8))) {
       val data = randomData(n, d, n.toLong * d + f)
       val t = BallTree.build(data, f)
-      checkInvariants(data, t.root, f)
+      checkInvariants(data, t, t.root, f)
     }
   }
 
@@ -52,14 +48,14 @@ class BallTreeSpec extends AnyFunSuite {
     val rnd = new Random(9)
     val data = Array.fill(300)(Array(rnd.nextInt(3).toDouble, rnd.nextInt(3).toDouble))
     val t = BallTree.build(data, 8)
-    checkInvariants(data, t.root, 8)
-    assert(collectPoints(t.root).sorted == (0 until 300))
+    checkInvariants(data, t, t.root, 8)
+    assert(Trees.covered(t, t.root).sorted == (0 until 300))
   }
 
   test("build handles all-identical input") {
     val data = Array.fill(100)(Array(1.0, 2.0, 3.0))
     val t = BallTree.build(data, 4)
-    checkInvariants(data, t.root, 4)
+    checkInvariants(data, t, t.root, 4)
     assert(t.root.radius == 0.0)
   }
 
@@ -98,7 +94,7 @@ class BallTreeSpec extends AnyFunSuite {
     val data = randomData(400, 3, 8)
     val a = BallTree.build(data, 12)
     val b = BallTree.build(data, 12)
-    assert(collectPoints(a.root) == collectPoints(b.root))
+    assert(Trees.covered(a, a.root) == Trees.covered(b, b.root))
     assert(a.nodeCount == b.nodeCount)
   }
 

@@ -163,4 +163,41 @@ class CentroidIndexSpec extends AnyFunSuite {
     assert(sink != 0)
     assert(perSearch < 8, f"$perSearch%.0f bytes allocated per search")
   }
+
+  test("a rebuild equals a fresh build node for node, through both of a run's centroid buffers") {
+    val rnd = new Random(9)
+    def grid(k: Int) = Array.fill(k)(Array.fill(2)(rnd.nextInt(6).toDouble))
+    def duplicates(k: Int) = { val base = centroids(5, 2, k.toLong); Array.fill(k)(base(rnd.nextInt(5)).clone()) }
+    for (k <- Seq(2, 5, 8, 60, 700)) {
+      // Node counts rise and fall from one set to the next.
+      val sets = Seq(centroids(k, 2, k.toLong), grid(k), duplicates(k), centroids(k, 2, k + 1L), grid(k))
+      val buffers = new KMeans.Buffers(k, 2)
+      var current = buffers.other(null)
+      val index = new CentroidIndex(sets.head.map(_.clone()), 30, new DistanceCounter)
+      for ((cs, step) <- sets.zipWithIndex) {
+        current = buffers.other(current)
+        cs.indices.foreach(j => System.arraycopy(cs(j), 0, current(j), 0, 2))
+        val t = index.rebuild(current).built
+        val fresh = BallTree.build(cs, 8)
+        assert(t.nodeCount == fresh.nodeCount, s"k=$k set $step")
+        assert(Trees.signature(t) == Trees.signature(fresh), s"k=$k set $step")
+        assert(Trees.preorder(t).zipWithIndex.forall { case (n, id) => t.node(id) eq n }, s"k=$k set $step")
+      }
+    }
+  }
+
+  test("a rebuild that does not grow the tree allocates nothing") {
+    val a = centroids(5000, 2, 19)
+    val b = centroids(5000, 2, 20)
+    val index = new CentroidIndex(a, 30, new DistanceCounter)
+    index.rebuild(b).rebuild(a).rebuild(b) // warm-up; the pool now holds the larger tree
+    assert(TestData.allocatedBytes(index.rebuild(a)) == 0)
+    assert(TestData.allocatedBytes(index.rebuild(b)) == 0)
+  }
+
+  test("a rebuild over a different number or dimension of centroids is rejected") {
+    val index = new CentroidIndex(centroids(20, 2, 21), 8, new DistanceCounter)
+    intercept[IllegalArgumentException](index.rebuild(centroids(21, 2, 22)))
+    intercept[IllegalArgumentException](index.rebuild(centroids(20, 3, 22)))
+  }
 }

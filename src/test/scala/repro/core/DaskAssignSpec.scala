@@ -167,6 +167,7 @@ class DaskAssignSpec extends AnyFunSuite {
     for ((label, data) <- tiedInputs(21); k <- Seq(2, 8, 9, 60)) {
       val cs = KMeans.initCentroids(data, k, k.toLong)
       val index = new CentroidIndex(cs, 8, new DistanceCounter)
+      val tree = BallTree.build(data, 4)
       val lists = new CandidateLists(k)
       val out = new Best2(0.0)
       // Compares distances, not ids: on a tie either id is a nearest one.
@@ -183,7 +184,7 @@ class DaskAssignSpec extends AnyFunSuite {
         if (node.isLeaf) {
           val pointUb = b.d1 + node.radius
           val end = index.narrow(lists, from, until, b.d1 + 2 * node.radius)
-          node.points.foreach(p => search(data(p), 1, pointUb, until, end, s"point $p"))
+          Trees.members(tree, node).foreach(p => search(data(p), 1, pointUb, until, end, s"point $p"))
         } else {
           val childUb = b.d2 + node.radius
           val end = index.narrow(lists, from, until, b.d2 + 2 * node.radius)
@@ -191,7 +192,7 @@ class DaskAssignSpec extends AnyFunSuite {
           walk(node.right, childUb, until, end)
         }
       }
-      walk(BallTree.build(data, 4).root, Double.PositiveInfinity, 0, lists.bind(index))
+      walk(tree.root, Double.PositiveInfinity, 0, lists.bind(index))
     }
   }
 

@@ -120,6 +120,23 @@ class DaskMeansSpec extends AnyFunSuite {
     assert(r.totalMs >= r.initMs)
   }
 
+  test("iterations after the first allocate almost nothing") {
+    val data = TestData.blobs(100000, 2, 6, 3.0, seed = 15)
+    val init = KMeans.initCentroids(data, 2000, 15)
+    def bytes(iters: Int): Long = {
+      var r: KMeansResult = null
+      val b = TestData.allocatedBytes { r = new DaskMeans().run(data, 2000, iters, init) }
+      assert(r.iterations == iters)
+      b
+    }
+    bytes(10) // warm-up
+    val perEightIterations = bytes(10) - bytes(2)
+    // Measured: 1,520 bytes, about 190 per iteration (the step's closures,
+    // the inter-bound queue, the list of iteration times); 822,776 when
+    // every iteration built a fresh centroid index.
+    assert(perEightIterations < 16L * 1024, s"$perEightIterations bytes for iterations 3 to 10")
+  }
+
   test("names reflect the ablation flags") {
     assert(new DaskMeans().name == "Dask-means")
     assert(new DaskMeans(useInterBound = false).name == "NoInB")

@@ -69,7 +69,7 @@ class TreeAssignmentStateSpec extends AnyFunSuite {
     var leaf = l
     while (!leaf.isLeaf) { st.pushDown(leaf)(); leaf = leaf.left }
     st.pushDown(leaf)()
-    leaf.points.foreach { p => st.assignPoint(p, rnd.nextInt(6)) }
+    Trees.members(st.tree, leaf).foreach { p => st.assignPoint(p, rnd.nextInt(6)) }
     checkConsistency(data, st)
   }
 
@@ -92,7 +92,7 @@ class TreeAssignmentStateSpec extends AnyFunSuite {
     val path = scala.collection.mutable.ArrayBuffer.empty[BallNode]
     while (!leaf.isLeaf) { path += leaf; leaf = leaf.left }
     (path :+ leaf).foreach(n => st.pushDown(n)())
-    val p = leaf.points(0)
+    val p = Trees.members(st.tree, leaf).head
     assert(st.assignPoint(p, 2))
     assert(!st.assignPoint(p, 2), "same target is a no-op")
     assert(st.counts(2) >= 1)

@@ -4,7 +4,7 @@ package repro.core
 object Trees {
 
   /** The members of a leaf of `t`, in the tree's order. */
-  def members(t: BallTree.Built, leaf: BallNode): Seq[Int] = { assert(t != null); leaf.points.toSeq }
+  def members(t: BallTree.Built, leaf: BallNode): Seq[Int] = t.idx.slice(leaf.start, leaf.end).toSeq
 
   /** The points covered by `node`, leaf by leaf in preorder. */
   def covered(t: BallTree.Built, node: BallNode): Seq[Int] =
