@@ -76,7 +76,6 @@ object BallTree {
   final class Built private[core] (val leafCapacity: Int, val idx: Array[Int]) {
     private var pool = new Array[BallNode](4 * idx.length / leafCapacity + 1)
     private var size = 0
-    private var data: Array[Array[Double]] = null
 
     def nodeCount: Int = size
 
@@ -97,22 +96,19 @@ object BallTree {
       var i = 0
       while (i < idx.length) { idx(i) = i; i += 1 }
       size = 0
-      this.data = data
-      mk(0, idx.length)
-      this.data = null
+      mk(data, 0, idx.length)
     }
 
     /** The next preorder slot, holding `d`-dimensional arrays. */
     private def slot(d: Int): BallNode = {
       val id = size
       if (id == pool.length) pool = java.util.Arrays.copyOf(pool, 2 * id)
-      if (pool(id) == null || pool(id).pivot.length != d)
-        pool(id) = new BallNode(id, new Array[Double](d), new Array[Double](d))
+      if (pool(id) == null) pool(id) = new BallNode(id, new Array[Double](d), new Array[Double](d))
       size += 1
       pool(id)
     }
 
-    private def mk(lo: Int, hi: Int): BallNode = {
+    private def mk(data: Array[Array[Double]], lo: Int, hi: Int): BallNode = {
       val n = hi - lo
       val node = slot(data(idx(lo)).length)
       val sum = node.sum
@@ -143,8 +139,8 @@ object BallTree {
         // median split so recursion always terminates.
         var mid = a
         if (mid == lo || mid == hi) mid = lo + n / 2
-        val l = mk(lo, mid)
-        val r = mk(mid, hi)
+        val l = mk(data, lo, mid)
+        val r = mk(data, mid, hi)
         node.set(radius, l, r, lo, hi)
       }
       node

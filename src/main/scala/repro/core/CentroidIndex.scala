@@ -59,16 +59,21 @@ final class CentroidIndex(
 
   @inline private def threshold(b: Best2, want: Int): Double = if (want == 1) b.d1 else b.d2
 
-  /** Descends below `node` with Eq. 8 pruning. With `lists` non-null it
-    * records every distance it computes, for [[narrow]].
+  /** Descends below `node` with Eq. 8 pruning. The search's seed centroid
+    * takes its known distance `seedDist` instead of a computed one. With
+    * `lists` non-null it marks every leaf it scans and records every
+    * distance it meets, for [[narrow]].
     */
-  private def search(b: Best2, want: Int, q: Array[Double], node: BallNode, lists: CandidateLists): Unit =
+  private def search(
+      b: Best2, want: Int, q: Array[Double], node: BallNode, lists: CandidateLists, seed: Int, seedDist: Double,
+  ): Unit =
     if (node.isLeaf) {
+      if (lists != null) lists.markScanned(node.id)
       val idx = built.idx
       var i = node.start
       while (i < node.end) {
         val ci = idx(i)
-        val d = counter.dist(q, cs(ci))
+        val d = if (ci == seed) seedDist else counter.dist(q, cs(ci))
         if (lists != null) lists.recordCentroid(ci, d)
         if (d < threshold(b, want)) b.insert(ci, d)
         i += 1
@@ -77,27 +82,35 @@ final class CentroidIndex(
       val dl = counter.dist(q, node.left.pivot)
       val dr = counter.dist(q, node.right.pivot)
       if (lists != null) { lists.recordNode(node.left.id, dl); lists.recordNode(node.right.id, dr) }
-      if (dl <= dr) { visit(b, want, q, node.left, dl, lists); visit(b, want, q, node.right, dr, lists) }
-      else { visit(b, want, q, node.right, dr, lists); visit(b, want, q, node.left, dl, lists) }
+      if (dl <= dr) {
+        visit(b, want, q, node.left, dl, lists, seed, seedDist); visit(b, want, q, node.right, dr, lists, seed, seedDist)
+      } else {
+        visit(b, want, q, node.right, dr, lists, seed, seedDist); visit(b, want, q, node.left, dl, lists, seed, seedDist)
+      }
     }
 
-  private def visit(b: Best2, want: Int, q: Array[Double], node: BallNode, d: Double, lists: CandidateLists): Unit =
-    if (d - node.radius < threshold(b, want)) search(b, want, q, node, lists)
+  private def visit(
+      b: Best2, want: Int, q: Array[Double], node: BallNode, d: Double, lists: CandidateLists, seed: Int, seedDist: Double,
+  ): Unit =
+    if (d - node.radius < threshold(b, want)) search(b, want, q, node, lists, seed, seedDist)
 
   /** The `want` ∈ {1, 2} nearest centroids of q, written into the caller's
     * queue `out`, which is reset to `ub` first and returned. `ub` must
     * upper-bound the true `want`-NN distance; if it turns out not to, the
     * search runs again into the same queue with an infinite bound and
     * without the seed. `seedId`/`seedDist` optionally pre-populate the queue
-    * with an already computed candidate. With `want` = 1 only `i1`/`d1` are
+    * with an already computed candidate; `seedDist` must be ‖q − c_seedId‖
+    * as [[Vec.dist]] computes it, and both searches use it instead of
+    * measuring the seed again. With `want` = 1 only `i1`/`d1` are
     * meaningful. With `want` = 2 and k = 1 the queue never fills, so the
     * result has `i2` = −1, `d2` = ∞. A search allocates nothing.
     */
   def nearest(q: Array[Double], want: Int, ub: Double, out: Best2, seedId: Int = -1, seedDist: Double = 0.0): Best2 = {
     out.reset(ub)
     if (seedId >= 0 && seedDist < ub) out.insert(seedId, seedDist)
-    search(out, want, q, built.root, null)
-    if ((if (want == 1) out.i1 else out.i2) < 0) search(out.reset(Double.PositiveInfinity), want, q, built.root, null)
+    search(out, want, q, built.root, null, seedId, seedDist)
+    if ((if (want == 1) out.i1 else out.i2) < 0)
+      search(out.reset(Double.PositiveInfinity), want, q, built.root, null, seedId, seedDist)
     out
   }
 
@@ -126,14 +139,20 @@ final class CentroidIndex(
     out.reset(ub)
     if (seedId >= 0 && seedDist < ub) out.insert(seedId, seedDist)
     lists.newSearch()
-    searchList(out, want, q, lists, from, until)
-    if ((if (want == 1) out.i1 else out.i2) < 0) searchList(out.reset(Double.PositiveInfinity), want, q, lists, from, until)
+    searchList(out, want, q, lists, from, until, seedId, seedDist)
+    if ((if (want == 1) out.i1 else out.i2) < 0)
+      searchList(out.reset(Double.PositiveInfinity), want, q, lists, from, until, seedId, seedDist)
     out
   }
 
-  private def searchList(b: Best2, want: Int, q: Array[Double], lists: CandidateLists, from: Int, until: Int): Unit = {
+  private def searchList(
+      b: Best2, want: Int, q: Array[Double], lists: CandidateLists, from: Int, until: Int, seed: Int, seedDist: Double,
+  ): Unit = {
     val entries = lists.entries
-    if (until - from == 1 && entries(from) >= 0) { search(b, want, q, built.node(entries(from)), lists); return }
+    if (until - from == 1 && entries(from) >= 0) {
+      search(b, want, q, built.node(entries(from)), lists, seed, seedDist)
+      return
+    }
     var first = -1
     var firstLb = Double.PositiveInfinity
     var i = from
@@ -141,7 +160,7 @@ final class CentroidIndex(
       val e = entries(i)
       if (e < 0) {
         val c = ~e
-        val d = counter.dist(q, cs(c))
+        val d = if (c == seed) seedDist else counter.dist(q, cs(c))
         lists.recordCentroid(c, d)
         if (d < threshold(b, want)) b.insert(c, d)
       } else {
@@ -153,11 +172,11 @@ final class CentroidIndex(
       i += 1
     }
     if (first < 0) return
-    visit(b, want, q, built.node(entries(first)), lists.nodeDist(entries(first)), lists)
+    visit(b, want, q, built.node(entries(first)), lists.nodeDist(entries(first)), lists, seed, seedDist)
     i = from
     while (i < until) {
       val e = entries(i)
-      if (e >= 0 && i != first) visit(b, want, q, built.node(e), lists.nodeDist(e), lists)
+      if (e >= 0 && i != first) visit(b, want, q, built.node(e), lists.nodeDist(e), lists, seed, seedDist)
       i += 1
     }
   }
@@ -194,8 +213,7 @@ final class CentroidIndex(
       val node = built.node(e)
       if (lists.measuredNode(e) && lists.nodeDist(e) - node.radius > limit) ()
       else if (node.isLeaf) {
-        // Lists are disjoint, so the leaf's centroids were measured only if the search scanned it.
-        if (lists.measuredCentroid(built.idx(node.start))) {
+        if (lists.scanned(node.id)) {
           var i = node.start
           while (i < node.end) {
             val c = built.idx(i)
@@ -228,9 +246,11 @@ object CentroidIndex {
   * searches and [[CentroidIndex.narrow]] writes: one growable stack of list
   * entries (a centroid-tree node id ≥ 0, or ~c for the single centroid c),
   * on which a node's children share one list written after the node's own,
-  * and the distances the last search computed, marked current by a stamp.
-  * Sized by k and the index's node count, and grown only when a list or an
-  * index outgrows it, so steps after the first allocate nothing.
+  * and the distances the last search met. A stamp marks the node distances
+  * and the leaf scans of the last search; a centroid's distance is read
+  * only when that search listed it or scanned its leaf. Sized by k and the
+  * index's node count, and grown only when a list or an index outgrows it,
+  * so steps after the first allocate nothing.
   */
 final class CandidateLists(k: Int) {
   private[core] var entries: Array[Int] = new Array[Int](64)
@@ -238,8 +258,8 @@ final class CandidateLists(k: Int) {
   private[core] var index: CentroidIndex = null
   private[core] var nodeDist: Array[Double] = new Array[Double](0)
   private var nodeStamp: Array[Int] = new Array[Int](0)
+  private var scanStamp: Array[Int] = new Array[Int](0)
   private[core] val centroidDist: Array[Double] = new Array[Double](k)
-  private val centroidStamp: Array[Int] = new Array[Int](k)
   private var stamp: Int = 0
 
   /** Binds the lists to `index` for one assignment pass and writes the
@@ -249,7 +269,10 @@ final class CandidateLists(k: Int) {
     if (index.centroids.length > k) // not `require`: its message closure would be allocated on every call
       throw new IllegalArgumentException(s"an index over ${index.centroids.length} centroids, lists for $k")
     val n = index.built.nodeCount
-    if (nodeDist.length < n) { val size = n + n / 4; nodeDist = new Array[Double](size); nodeStamp = new Array[Int](size) }
+    if (nodeDist.length < n) {
+      val size = n + n / 4
+      nodeDist = new Array[Double](size); nodeStamp = new Array[Int](size); scanStamp = new Array[Int](size)
+    }
     this.index = index
     entries(0) = index.built.root.id
     1
@@ -260,7 +283,7 @@ final class CandidateLists(k: Int) {
 
   private[core] def newSearch(): Unit = {
     if (stamp == Int.MaxValue) {
-      java.util.Arrays.fill(nodeStamp, 0); java.util.Arrays.fill(centroidStamp, 0); stamp = 0
+      java.util.Arrays.fill(nodeStamp, 0); java.util.Arrays.fill(scanStamp, 0); stamp = 0
     }
     stamp += 1
   }
@@ -272,7 +295,8 @@ final class CandidateLists(k: Int) {
   }
 
   @inline private[core] def recordNode(id: Int, d: Double): Unit = { nodeDist(id) = d; nodeStamp(id) = stamp }
-  @inline private[core] def recordCentroid(c: Int, d: Double): Unit = { centroidDist(c) = d; centroidStamp(c) = stamp }
+  @inline private[core] def recordCentroid(c: Int, d: Double): Unit = centroidDist(c) = d
+  @inline private[core] def markScanned(id: Int): Unit = scanStamp(id) = stamp
   @inline private[core] def measuredNode(id: Int): Boolean = nodeStamp(id) == stamp
-  @inline private[core] def measuredCentroid(c: Int): Boolean = centroidStamp(c) == stamp
+  @inline private[core] def scanned(id: Int): Boolean = scanStamp(id) == stamp
 }

@@ -14,9 +14,10 @@ object DaskAssign {
     * by Eq. 6 narrows its list for its children or points
     * ([[CentroidIndex.narrow]]). The lists hold every nearest 1/2, so the
     * assignments are those of root-down searches; only the distance count
-    * differs. The lists live in `state.candidates`; the phase allocates two
-    * result queues, one for node searches and one for point searches, and
-    * nothing per search.
+    * differs. The distance to the current centroid that Eq. 4/5 measured
+    * seeds the search, which does not measure it again. The lists live in
+    * `state.candidates`; the phase allocates two result queues, one for
+    * node searches and one for point searches, and nothing per search.
     *
     * @param cb     inter bounds per centroid (Eq. 3); pass null to disable
     *               the Eq. 4/5 checks (the NoInB ablation)
@@ -100,9 +101,10 @@ object DaskAssign {
 
   /** Inter bounds cb[j] for all centroids via bounded 2-NN over the
     * centroid index (Algorithm 1 lines 6–9). `prevCb`/`drifts` feed the
-    * Eq. 9 upper bound; pass `first = true` on the first iteration.
-    * `prevCb` (length k) is overwritten in place with the new bounds and
-    * returned.
+    * Eq. 9 upper bound; pass `first = true` on the first iteration. Each
+    * search is seeded with c_j itself at distance 0, which it does not
+    * measure. `prevCb` (length k) is overwritten in place with the new
+    * bounds and returned.
     */
   def interBounds(
       centroids: Array[Array[Double]],

@@ -5,8 +5,8 @@ import repro.estimator.MemoryEstimator
 /** The paper's memory-efficient accelerator (§IV, Algorithm 1).
   *
   * A Ball-tree is built once over the spatial vectors and another over the
-  * centroids every iteration, rebuilt in place into one index per run. Assignment recursively traverses the point
-  * tree:
+  * centroids every iteration, rebuilt in place into the run's one index.
+  * Assignment recursively traverses the point tree:
   *
   *  - Eq. 5: a wholly-assigned node stays in its cluster when
   *    ‖N.p* − c_a(N)‖ + N.r < cb[a(N)]/2 (inter bound);

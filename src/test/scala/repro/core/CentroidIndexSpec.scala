@@ -118,6 +118,41 @@ class CentroidIndexSpec extends AnyFunSuite {
     }
   }
 
+  test("a search does not measure its seed again") {
+    val cs = centroids(8, 2, 16) // one leaf: a search scans all eight
+    val counter = new DistanceCounter
+    val idx = new CentroidIndex(cs, 8, counter)
+    val out = new Best2(0.0)
+    val q = Array(3.0, 4.0)
+    idx.nearest(q, 2, Double.PositiveInfinity, out)
+    assert(counter.count == 8)
+    idx.nearest(q, 2, Double.PositiveInfinity, out, seedId = 5, seedDist = Vec.dist(q, cs(5)))
+    assert(counter.count == 8 + 7)
+  }
+
+  test("narrow keeps an unscanned leaf whole though the search's seed is its first member") {
+    val rnd = new Random(17)
+    val cs = centroids(200, 2, 17)
+    val idx = new CentroidIndex(cs, 8, new DistanceCounter)
+    val lists = new CandidateLists(cs.length)
+    val out = new Best2(0.0)
+    val leaves = (0 until idx.built.nodeCount).map(idx.built.node).filter(_.isLeaf)
+    var cases = 0
+    for (_ <- 1 to 50; leaf <- leaves) {
+      val q = Array.fill(2)(rnd.nextDouble() * 50)
+      val seed = idx.built.idx(leaf.start)
+      val end = lists.bind(idx)
+      idx.nearestIn(q, 2, Double.PositiveInfinity, out, seed, Vec.dist(q, cs(seed)), lists, 0, end)
+      if (lists.measuredNode(leaf.id) && !lists.scanned(leaf.id)) {
+        cases += 1
+        val kept = lists.entries.slice(end, idx.narrow(lists, 0, end, Double.PositiveInfinity)).toSet
+        assert(kept.contains(leaf.id), s"leaf ${leaf.id} was not kept whole")
+        (leaf.start until leaf.end).foreach(i => assert(!kept.contains(~idx.built.idx(i))))
+      }
+    }
+    assert(cases > 0, "no search left its seed's leaf unscanned")
+  }
+
   test("self-seeded 2-NN yields the nearest-other distance (inter bound)") {
     val cs = centroids(30, 2, 14)
     val idx = new CentroidIndex(cs, 4, new DistanceCounter)

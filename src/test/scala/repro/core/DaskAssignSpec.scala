@@ -170,12 +170,17 @@ class DaskAssignSpec extends AnyFunSuite {
       val tree = BallTree.build(data, 4)
       val lists = new CandidateLists(k)
       val out = new Best2(0.0)
+      val rnd = new Random(k)
       // Compares distances, not ids: on a tie either id is a nearest one.
+      // The search whose distances `narrow` reads is seeded with a random
+      // centroid, which it must not measure again nor take for a scan of
+      // its leaf.
       def search(q: Array[Double], want: Int, ub: Double, from: Int, until: Int, what: String): Best2 = {
         val (t1, t2) = nearestDists(q, cs)
         val low = index.nearestIn(q, want, t1 / 2, out, -1, 0.0, lists, from, until)
         assert(low.d1 == t1 && (want == 1 || low.d2 == t2), s"$label k=$k $what: a too small bound")
-        val b = index.nearestIn(q, want, ub, out, -1, 0.0, lists, from, until)
+        val seed = rnd.nextInt(k)
+        val b = index.nearestIn(q, want, ub, out, seed, Vec.dist(q, cs(seed)), lists, from, until)
         assert(b.d1 == t1 && (want == 1 || b.d2 == t2), s"$label k=$k $what")
         b
       }
