@@ -38,6 +38,7 @@ final class DualTree extends KMeansAlgo {
     private val u = new Array[Double](n)
     private val l = new Array[Double](n)
     private val pVer = new Array[Int](n)
+    private val best = new Best2(Double.PositiveInfinity)
     // cumulative drift per centroid by version; version v = centroids after
     // v refinements, cum(v)(j) = Σ_{τ≤v} δ_τ(j)
     private val cum = scala.collection.mutable.ArrayBuffer(new Array[Double](k))
@@ -71,7 +72,7 @@ final class DualTree extends KMeansAlgo {
           u(p) = counter.dist(data(p), centroids(a0)) // tighten
           if (u(p) <= l(p)) { pruned += 1; return }
         }
-        val b = counter.nearest2(data(p), centroids)
+        val b = counter.nearest2(data(p), centroids, best)
         state.assignPoint(p, b.i1)
         u(p) = b.d1; l(p) = b.d2; pVer(p) = now
       }
@@ -89,7 +90,7 @@ final class DualTree extends KMeansAlgo {
           }
         }
         val dA = if (c >= 0) counter.dist(node.pivot, centroids(c)) else 0.0
-        val b = counter.nearest2(node.pivot, centroids, c, dA)
+        val b = counter.nearest2(node.pivot, centroids, best, c, dA)
         if (b.d2 - b.d1 > 2 * node.radius) {
           state.batchAssign(node, b.i1)
           nodeUb(id) = b.d1; nodeLb(id) = b.d2; nodeVer(id) = now

@@ -21,11 +21,12 @@ final class Hamerly extends KMeansAlgo {
     private val u = new Array[Double](n)
     private val l = new Array[Double](n)
     private val s = new Array[Double](k)
+    private val best = new Best2(Double.PositiveInfinity)
 
     override def assign(centroids: Array[Array[Double]], it: Int, drifts: Array[Double]): Long = {
       /** Full scan of point i: set a, u (closest) and l (second closest). */
       def fullScan(i: Int): Unit = {
-        val b = counter.nearest2(data(i), centroids)
+        val b = counter.nearest2(data(i), centroids, best)
         a(i) = b.i1; u(i) = b.d1; l(i) = b.d2
       }
 
@@ -38,7 +39,7 @@ final class Hamerly extends KMeansAlgo {
 
       // s(j): half the distance to the nearest other centroid.
       var j = 0
-      while (j < k) { s(j) = counter.nearest2(centroids(j), centroids, skip = j).d2 / 2; j += 1 }
+      while (j < k) { s(j) = counter.nearest2(centroids(j), centroids, best, skip = j).d2 / 2; j += 1 }
 
       var i = 0
       while (i < n) {

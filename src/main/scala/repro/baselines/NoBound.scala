@@ -25,13 +25,14 @@ final class NoBound extends KMeansAlgo {
     private val dToOwn = new Array[Double](n) // ‖x − c_a(x)‖ under current centroids
     private val radius = new Array[Double](k)
     private val cc = Array.ofDim[Double](k, k)
+    private val best = new Best2(Double.PositiveInfinity)
 
     override def assign(centroids: Array[Array[Double]], it: Int, drifts: Array[Double]): Long = {
       if (it == 0) {
         // Full assignment (the costly init the paper reports).
         var i = 0
         while (i < n) {
-          val b = counter.nearest2(data(i), centroids)
+          val b = counter.nearest2(data(i), centroids, best)
           a(i) = b.i1; dToOwn(i) = b.d1
           i += 1
         }

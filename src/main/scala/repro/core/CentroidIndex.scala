@@ -15,14 +15,16 @@ package repro.core
   * list from the node's own list and the distances its search recorded, so
   * a traversal hands candidates down the point tree as well as the Eq. 7
   * bound (the "filtering" of Kanungo et al., TPAMI 2002). The lists and
-  * the recorded distances live in a run-owned [[CandidateLists]]; the index
-  * is read-only between rebuilds.
+  * the recorded distances live in the index's own [[CandidateLists]], so an
+  * index serves one search at a time; [[nearest]] is the search over the
+  * root list.
   *
   * [[rebuild]] builds the tree over the next iteration's centroids into the
-  * same index, so a run holds one index and, once the tree has reached its
-  * largest node count, an iteration allocates nothing for it. The rebuilt
-  * tree is the one a fresh index over those centroids would hold, node for
-  * node and bit for bit.
+  * same index, so a run holds one index (the serial run, the Spark driver
+  * and each Spark partition alike) and, once the tree has reached its
+  * largest node count, an iteration allocates nothing for it or its lists.
+  * The rebuilt tree is the one a fresh index over those centroids would
+  * hold, node for node and bit for bit.
   *
   * The tree's leaf capacity is min(f, [[CentroidIndex.MaxLeafCapacity]]):
   * f is sized for the memory of the point tree (Eq. 12), while a search
@@ -39,13 +41,16 @@ final class CentroidIndex(
   val built: BallTree.Built =
     BallTree.build(initial, math.max(2, math.min(leafCapacity, CentroidIndex.MaxLeafCapacity)))
 
-  /** The centroids the tree was last built over. */
-  def centroids: Array[Array[Double]] = cs
+  /** The search scratch; entry 0 is the root list, which holds the root's
+    * preorder id, 0, for the life of the index.
+    */
+  private[core] val lists: CandidateLists = new CandidateLists(initial.length, built.nodeCount)
 
   /** Rebuilds the tree over `centroids` (as many, of the same dimension, as
     * the index was made with) in place and returns this index. The nodes of
     * the previous tree are overwritten. Allocates nothing unless the new
-    * tree has more nodes than every earlier one.
+    * tree has more nodes than every earlier one; the candidate lists then
+    * grow with it.
     */
   def rebuild(centroids: Array[Array[Double]]): CentroidIndex = {
     if (centroids.length != cs.length || centroids(0).length != cs(0).length)
@@ -54,103 +59,82 @@ final class CentroidIndex(
           s"rebuilt over ${centroids.length} of dimension ${centroids(0).length}")
     cs = centroids
     built.buildFrom(centroids)
+    lists.fit(built.nodeCount)
     this
   }
 
   @inline private def threshold(b: Best2, want: Int): Double = if (want == 1) b.d1 else b.d2
 
-  /** Descends below `node` with Eq. 8 pruning. The search's seed centroid
-    * takes its known distance `seedDist` instead of a computed one. With
-    * `lists` non-null it marks every leaf it scans and records every
-    * distance it meets, for [[narrow]].
+  /** Descends below `node` with Eq. 8 pruning, marking every leaf it scans
+    * and recording every distance it meets, for [[narrow]]. The search's
+    * seed centroid takes its known distance `seedDist` instead of a
+    * computed one.
     */
-  private def search(
-      b: Best2, want: Int, q: Array[Double], node: BallNode, lists: CandidateLists, seed: Int, seedDist: Double,
-  ): Unit =
+  private def search(b: Best2, want: Int, q: Array[Double], node: BallNode, seed: Int, seedDist: Double): Unit =
     if (node.isLeaf) {
-      if (lists != null) lists.markScanned(node.id)
+      lists.markScanned(node.id)
       val idx = built.idx
       var i = node.start
       while (i < node.end) {
         val ci = idx(i)
         val d = if (ci == seed) seedDist else counter.dist(q, cs(ci))
-        if (lists != null) lists.recordCentroid(ci, d)
+        lists.recordCentroid(ci, d)
         if (d < threshold(b, want)) b.insert(ci, d)
         i += 1
       }
     } else {
       val dl = counter.dist(q, node.left.pivot)
       val dr = counter.dist(q, node.right.pivot)
-      if (lists != null) { lists.recordNode(node.left.id, dl); lists.recordNode(node.right.id, dr) }
+      lists.recordNode(node.left.id, dl); lists.recordNode(node.right.id, dr)
       if (dl <= dr) {
-        visit(b, want, q, node.left, dl, lists, seed, seedDist); visit(b, want, q, node.right, dr, lists, seed, seedDist)
+        visit(b, want, q, node.left, dl, seed, seedDist); visit(b, want, q, node.right, dr, seed, seedDist)
       } else {
-        visit(b, want, q, node.right, dr, lists, seed, seedDist); visit(b, want, q, node.left, dl, lists, seed, seedDist)
+        visit(b, want, q, node.right, dr, seed, seedDist); visit(b, want, q, node.left, dl, seed, seedDist)
       }
     }
 
-  private def visit(
-      b: Best2, want: Int, q: Array[Double], node: BallNode, d: Double, lists: CandidateLists, seed: Int, seedDist: Double,
-  ): Unit =
-    if (d - node.radius < threshold(b, want)) search(b, want, q, node, lists, seed, seedDist)
+  private def visit(b: Best2, want: Int, q: Array[Double], node: BallNode, d: Double, seed: Int, seedDist: Double): Unit =
+    if (d - node.radius < threshold(b, want)) search(b, want, q, node, seed, seedDist)
 
   /** The `want` ∈ {1, 2} nearest centroids of q, written into the caller's
-    * queue `out`, which is reset to `ub` first and returned. `ub` must
-    * upper-bound the true `want`-NN distance; if it turns out not to, the
-    * search runs again into the same queue with an infinite bound and
-    * without the seed. `seedId`/`seedDist` optionally pre-populate the queue
-    * with an already computed candidate; `seedDist` must be ‖q − c_seedId‖
-    * as [[Vec.dist]] computes it, and both searches use it instead of
-    * measuring the seed again. With `want` = 1 only `i1`/`d1` are
-    * meaningful. With `want` = 2 and k = 1 the queue never fills, so the
-    * result has `i2` = −1, `d2` = ∞. A search allocates nothing.
+    * queue `out`, which is reset to `ub` first and returned: the search of
+    * [[nearestIn]] over the root list. `ub` must upper-bound the true
+    * `want`-NN distance; if it turns out not to, the search runs again into
+    * the same queue with an infinite bound and without the seed.
+    * `seedId`/`seedDist` optionally pre-populate the queue with an already
+    * computed candidate; `seedDist` must be ‖q − c_seedId‖ as [[Vec.dist]]
+    * computes it, and both searches use it instead of measuring the seed
+    * again. With `want` = 1 only `i1`/`d1` are meaningful. With `want` = 2
+    * and k = 1 the queue never fills, so the result has `i2` = −1,
+    * `d2` = ∞. A search allocates nothing.
     */
-  def nearest(q: Array[Double], want: Int, ub: Double, out: Best2, seedId: Int = -1, seedDist: Double = 0.0): Best2 = {
-    out.reset(ub)
-    if (seedId >= 0 && seedDist < ub) out.insert(seedId, seedDist)
-    search(out, want, q, built.root, null, seedId, seedDist)
-    if ((if (want == 1) out.i1 else out.i2) < 0)
-      search(out.reset(Double.PositiveInfinity), want, q, built.root, null, seedId, seedDist)
-    out
-  }
+  def nearest(q: Array[Double], want: Int, ub: Double, out: Best2, seedId: Int = -1, seedDist: Double = 0.0): Best2 =
+    nearestIn(q, want, ub, out, seedId, seedDist, 0, 1)
 
   /** [[nearest]] over the candidate list `lists.entries[from, until)`
     * instead of the root; the list must hold every centroid that can be a
     * nearest `want` of q. The search computes each entry's distance, visits
     * the node entry with the smallest lower bound ‖q − N_C.p*‖ − N_C.r
-    * first and descends with Eq. 8 as [[nearest]] does. A one-entry list
-    * of a node is searched as that node's subtree, without its pivot
-    * distance, so the root list's search is [[nearest]]'s. Records every
-    * distance it computes in `lists`, which [[CandidateLists.bind]] must
-    * have bound to this index. Allocates nothing.
+    * first and descends with Eq. 8. A one-entry list of a node is searched
+    * as that node's subtree, without its pivot distance, so the root list
+    * [0, 1) searches the whole tree. Records every distance it computes for
+    * the next [[narrow]]. Allocates nothing.
     */
-  def nearestIn(
-      q: Array[Double],
-      want: Int,
-      ub: Double,
-      out: Best2,
-      seedId: Int,
-      seedDist: Double,
-      lists: CandidateLists,
-      from: Int,
-      until: Int,
-  ): Best2 = {
-    if (lists.index ne this) throw new IllegalArgumentException("candidate lists bound to another index")
+  def nearestIn(q: Array[Double], want: Int, ub: Double, out: Best2, seedId: Int, seedDist: Double, from: Int, until: Int)
+      : Best2 = {
     out.reset(ub)
     if (seedId >= 0 && seedDist < ub) out.insert(seedId, seedDist)
     lists.newSearch()
-    searchList(out, want, q, lists, from, until, seedId, seedDist)
+    searchList(out, want, q, from, until, seedId, seedDist)
     if ((if (want == 1) out.i1 else out.i2) < 0)
-      searchList(out.reset(Double.PositiveInfinity), want, q, lists, from, until, seedId, seedDist)
+      searchList(out.reset(Double.PositiveInfinity), want, q, from, until, seedId, seedDist)
     out
   }
 
-  private def searchList(
-      b: Best2, want: Int, q: Array[Double], lists: CandidateLists, from: Int, until: Int, seed: Int, seedDist: Double,
-  ): Unit = {
+  private def searchList(b: Best2, want: Int, q: Array[Double], from: Int, until: Int, seed: Int, seedDist: Double): Unit = {
     val entries = lists.entries
     if (until - from == 1 && entries(from) >= 0) {
-      search(b, want, q, built.node(entries(from)), lists, seed, seedDist)
+      search(b, want, q, built.node(entries(from)), seed, seedDist)
       return
     }
     var first = -1
@@ -172,21 +156,21 @@ final class CentroidIndex(
       i += 1
     }
     if (first < 0) return
-    visit(b, want, q, built.node(entries(first)), lists.nodeDist(entries(first)), lists, seed, seedDist)
+    visit(b, want, q, built.node(entries(first)), lists.nodeDist(entries(first)), seed, seedDist)
     i = from
     while (i < until) {
       val e = entries(i)
-      if (e >= 0 && i != first) visit(b, want, q, built.node(e), lists.nodeDist(e), lists, seed, seedDist)
+      if (e >= 0 && i != first) visit(b, want, q, built.node(e), lists.nodeDist(e), seed, seedDist)
       i += 1
     }
   }
 
   /** Writes the list for the children (`bound` = d2 + 2R) or the points
     * (`bound` = d1 + 2R) of a point-tree node with pivot p and radius R
-    * whose search over `lists.entries[from, until)` was the last one on
-    * `lists` and returned d1, d2. The new list starts at `until`; returns
-    * its end. It uses only the distances that search recorded and computes
-    * none:
+    * whose search over `lists.entries[from, until)` was the index's last
+    * one and returned d1, d2. The new list starts at `until` (≥ 1, so the
+    * root list stays); returns its end. It uses only the distances that
+    * search recorded and computes none:
     *
     *  - an entry whose lower bound (‖p − N_C.p*‖ − N_C.r, or ‖p − c‖ for a
     *    centroid) exceeds `bound`·(1 + [[CentroidIndex.NarrowMargin]]) is
@@ -199,15 +183,15 @@ final class CentroidIndex(
     * nearest 1/2 within d2 + R (d1 + R), so within `bound` of p: the new
     * list holds them all.
     */
-  def narrow(lists: CandidateLists, from: Int, until: Int, bound: Double): Int = {
+  def narrow(from: Int, until: Int, bound: Double): Int = {
     val limit = bound * (1 + CentroidIndex.NarrowMargin)
     lists.top = until
     var i = from
-    while (i < until) { keep(lists, lists.entries(i), limit); i += 1 }
+    while (i < until) { keep(lists.entries(i), limit); i += 1 }
     lists.top
   }
 
-  private def keep(lists: CandidateLists, e: Int, limit: Double): Unit =
+  private def keep(e: Int, limit: Double): Unit =
     if (e < 0) { if (lists.centroidDist(~e) <= limit) lists.push(e) } // a listed centroid is always measured
     else {
       val node = built.node(e)
@@ -222,8 +206,8 @@ final class CentroidIndex(
           }
         } else lists.push(e)
       } else if (lists.measuredNode(node.left.id) && lists.measuredNode(node.right.id)) {
-        keep(lists, node.left.id, limit)
-        keep(lists, node.right.id, limit)
+        keep(node.left.id, limit)
+        keep(node.right.id, limit)
       } else lists.push(e)
     }
 }
@@ -240,46 +224,42 @@ object CentroidIndex {
     * in the distances it compares never drops a true nearest centroid.
     */
   val NarrowMargin: Double = 1e-12
+
+  /** The index of a run's next iteration: `index` rebuilt over `centroids`
+    * in place, or a new index when the run has none yet (`index` null).
+    */
+  def rebuildOrNew(index: CentroidIndex, centroids: Array[Array[Double]], leafCapacity: Int, counter: DistanceCounter)
+      : CentroidIndex =
+    if (index == null) new CentroidIndex(centroids, leafCapacity, counter) else index.rebuild(centroids)
 }
 
-/** Run-owned scratch of the candidate lists that [[CentroidIndex.nearestIn]]
-  * searches and [[CentroidIndex.narrow]] writes: one growable stack of list
-  * entries (a centroid-tree node id ≥ 0, or ~c for the single centroid c),
-  * on which a node's children share one list written after the node's own,
-  * and the distances the last search met. A stamp marks the node distances
-  * and the leaf scans of the last search; a centroid's distance is read
-  * only when that search listed it or scanned its leaf. Sized by k and the
-  * index's node count, and grown only when a list or an index outgrows it,
-  * so steps after the first allocate nothing.
+/** An index's scratch for the candidate lists that
+  * [[CentroidIndex.nearestIn]] searches and [[CentroidIndex.narrow]]
+  * writes: one growable stack of list entries (a centroid-tree node id ≥ 0,
+  * or ~c for the single centroid c), on which a node's children share one
+  * list written after the node's own, and the distances the last search
+  * met. Entry 0 is the root list, the root's preorder id 0. A stamp marks
+  * the node distances and the leaf scans of the last search; a centroid's
+  * distance is read only when that search listed it or scanned its leaf.
+  * Sized by k and the index's node count, and grown only when a list or
+  * the index's tree outgrows it, so a run's steps after the first allocate
+  * nothing.
   */
-final class CandidateLists(k: Int) {
+private[core] final class CandidateLists(k: Int, nodes: Int) {
   private[core] var entries: Array[Int] = new Array[Int](64)
   private[core] var top: Int = 0
-  private[core] var index: CentroidIndex = null
-  private[core] var nodeDist: Array[Double] = new Array[Double](0)
-  private var nodeStamp: Array[Int] = new Array[Int](0)
-  private var scanStamp: Array[Int] = new Array[Int](0)
+  private[core] var nodeDist: Array[Double] = new Array[Double](nodes)
+  private var nodeStamp: Array[Int] = new Array[Int](nodes)
+  private var scanStamp: Array[Int] = new Array[Int](nodes)
   private[core] val centroidDist: Array[Double] = new Array[Double](k)
   private var stamp: Int = 0
 
-  /** Binds the lists to `index` for one assignment pass and writes the
-    * root list, the centroid tree's root, at 0. Returns its end, 1.
-    */
-  def bind(index: CentroidIndex): Int = {
-    if (index.centroids.length > k) // not `require`: its message closure would be allocated on every call
-      throw new IllegalArgumentException(s"an index over ${index.centroids.length} centroids, lists for $k")
-    val n = index.built.nodeCount
-    if (nodeDist.length < n) {
-      val size = n + n / 4
+  /** Grows the node arrays to hold a tree of `nodes` nodes. */
+  private[core] def fit(nodes: Int): Unit =
+    if (nodeDist.length < nodes) {
+      val size = nodes + nodes / 4
       nodeDist = new Array[Double](size); nodeStamp = new Array[Int](size); scanStamp = new Array[Int](size)
     }
-    this.index = index
-    entries(0) = index.built.root.id
-    1
-  }
-
-  /** Drops the reference to the bound index. */
-  def unbind(): Unit = index = null
 
   private[core] def newSearch(): Unit = {
     if (stamp == Int.MaxValue) {

@@ -16,8 +16,9 @@ object DaskAssign {
     * assignments are those of root-down searches; only the distance count
     * differs. The distance to the current centroid that Eq. 4/5 measured
     * seeds the search, which does not measure it again. The lists live in
-    * `state.candidates`; the phase allocates two result queues, one for
-    * node searches and one for point searches, and nothing per search.
+    * the index, which a run rebuilds every iteration and keeps; the phase
+    * allocates two result queues, one for node searches and one for point
+    * searches, and nothing per search, with or without an index.
     *
     * @param cb     inter bounds per centroid (Eq. 3); pass null to disable
     *               the Eq. 4/5 checks (the NoInB ablation)
@@ -45,9 +46,8 @@ object DaskAssign {
 
     val nodeBest = new Best2(Double.PositiveInfinity)
     val pointBest = new Best2(Double.PositiveInfinity)
-    val lists = if (index != null) state.candidates else null
 
-    // [from, until): the search's candidate list in `lists`, unused without an index.
+    // [from, until): the search's candidate list in the index, unused without one.
     def assignPoint(p: Int, ub: Double, from: Int, until: Int): Unit = {
       val prev = state.assignments(p)
       var seedDist = -1.0
@@ -56,8 +56,8 @@ object DaskAssign {
         if (cb != null && seedDist < cb(prev) / 2) { pruned += 1; return } // Eq. 4
       }
       val n1 =
-        if (index != null) index.nearestIn(data(p), 1, ub, pointBest, prev, seedDist, lists, from, until).i1
-        else counter.nearest2(data(p), centroids, prev, seedDist).i1
+        if (index != null) index.nearestIn(data(p), 1, ub, pointBest, prev, seedDist, from, until).i1
+        else counter.nearest2(data(p), centroids, pointBest, prev, seedDist).i1
       state.assignPoint(p, n1)
     }
 
@@ -72,30 +72,28 @@ object DaskAssign {
         }
       }
       val b =
-        if (index != null) index.nearestIn(node.pivot, 2, ub, nodeBest, prev, seedDist, lists, from, until)
-        else counter.nearest2(node.pivot, centroids, prev, seedDist)
+        if (index != null) index.nearestIn(node.pivot, 2, ub, nodeBest, prev, seedDist, from, until)
+        else counter.nearest2(node.pivot, centroids, nodeBest, prev, seedDist)
       if (b.d2 - b.d1 > 2 * node.radius) { // Eq. 6
         state.batchAssign(node, b.i1)
         pruned += node.count
       } else if (node.isLeaf) {
         state.pushDown(node)()
         val pointUb = b.d1 + node.radius
-        val end = if (index != null) index.narrow(lists, from, until, b.d1 + 2 * node.radius) else until
+        val end = if (index != null) index.narrow(from, until, b.d1 + 2 * node.radius) else until
         var i = node.start
         while (i < node.end) { assignPoint(idx(i), pointUb, until, end); i += 1 }
       } else {
         state.pushDown(node)()
         // Eq. 7: inherited bound and list, taken before the recursion reuses `nodeBest`.
         val childUb = b.d2 + node.radius
-        val end = if (index != null) index.narrow(lists, from, until, b.d2 + 2 * node.radius) else until
+        val end = if (index != null) index.narrow(from, until, b.d2 + 2 * node.radius) else until
         assignNode(node.left, childUb, until, end)
         assignNode(node.right, childUb, until, end)
       }
     }
 
-    val rootEnd = if (index != null) lists.bind(index) else 0
-    assignNode(state.tree.root, Double.PositiveInfinity, 0, rootEnd)
-    if (index != null) lists.unbind()
+    assignNode(state.tree.root, Double.PositiveInfinity, 0, 1) // [0, 1): the index's root list
     pruned
   }
 
@@ -122,7 +120,7 @@ object DaskAssign {
     var j = 0
     while (j < k) {
       cb(j) =
-        if (index == null) counter.nearest2(centroids(j), centroids, skip = j).d2
+        if (index == null) counter.nearest2(centroids(j), centroids, best, skip = j).d2
         else {
           val ub = if (first) Double.PositiveInfinity else prevCb(j) + drifts(j) + maxDrift // Eq. 9
           index.nearest(centroids(j), 2, ub, best, seedId = j, seedDist = 0.0).d2

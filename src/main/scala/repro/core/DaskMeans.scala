@@ -61,8 +61,7 @@ final class DaskMeans(
     private var index: CentroidIndex = null
 
     override def assign(centroids: Array[Array[Double]], it: Int, drifts: Array[Double]): Long = {
-      if (useKnn && k > 1)
-        index = if (index == null) new CentroidIndex(centroids, leafCapacity, counter) else index.rebuild(centroids)
+      if (useKnn) index = CentroidIndex.rebuildOrNew(index, centroids, leafCapacity, counter)
       if (useInterBound) DaskAssign.interBounds(centroids, index, first = it == 0, cb, drifts, counter)
       DaskAssign.step(state, centroids, if (useInterBound) cb else null, index, counter)
     }

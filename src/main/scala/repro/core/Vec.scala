@@ -89,15 +89,16 @@ final class DistanceCounter {
     }
   }
 
-  /** The two nearest of `cs` to `q` by distance, scanned in id order with
-    * strict `<`, so the lowest id wins a tie. Centroid `skip` is taken at
-    * the already known `skipDist` and not counted.
+  /** The two nearest of `cs` to `q` by distance, written into the caller's
+    * queue `out`, which is reset first and returned. Scanned in id order
+    * with strict `<`, so the lowest id wins a tie. Centroid `skip` is taken
+    * at the already known `skipDist` and not counted. Allocates nothing.
     */
-  def nearest2(q: Array[Double], cs: Array[Array[Double]], skip: Int = -1, skipDist: Double = 0.0): Best2 = {
-    val b = new Best2(Double.PositiveInfinity)
+  def nearest2(q: Array[Double], cs: Array[Array[Double]], out: Best2, skip: Int = -1, skipDist: Double = 0.0): Best2 = {
+    out.reset(Double.PositiveInfinity)
     var j = 0
-    while (j < cs.length) { b.insert(j, if (j == skip) skipDist else dist(q, cs(j))); j += 1 }
-    b
+    while (j < cs.length) { out.insert(j, if (j == skip) skipDist else dist(q, cs(j))); j += 1 }
+    out
   }
 }
 

@@ -11,7 +11,8 @@ import scala.annotation.unused
 import scala.collection.concurrent.TrieMap
 import scala.collection.mutable.ArrayBuilder
 
-/** Executor-local cache of per-partition Ball-trees and assignment state.
+/** Executor-local cache of per-partition Ball-trees, assignment state and
+  * centroid indexes.
   *
   * The tree over a partition's spatial vectors is built once (the paper
   * builds the spatial-vector index once per task) and reused across the
@@ -22,14 +23,18 @@ import scala.collection.mutable.ArrayBuilder
   * are stable across stages (local mode and standalone executors). Only
   * the job that builds the entry (the first of the fit) reads a
   * partition's rows; later jobs find the entry and reuse the shuffle
-  * without reading them.
+  * without reading them. Each entry also keeps the partition's one
+  * centroid index, made by the first assignment phase and rebuilt in place
+  * by every later one, as the serial run and the driver keep theirs.
   */
 object PartitionIndexCache {
   final class Entry(
       val ids: Array[Long],
       val state: TreeAssignmentState,
       val counter: DistanceCounter,
-  )
+  ) {
+    private[spark] var index: CentroidIndex = null
+  }
 
   private val cache = TrieMap.empty[(String, Int), Entry]
 
@@ -125,8 +130,7 @@ object DistributedDaskMeans {
 
         override def assign(centroids: Array[Array[Double]], it: Int, drifts: Array[Double]): Long = {
           // Driver-side inter bounds over one centroid index, rebuilt in place (k is small).
-          if (k > 1)
-            index = if (index == null) new CentroidIndex(centroids, leafCapacity, driverCounter) else index.rebuild(centroids)
+          index = CentroidIndex.rebuildOrNew(index, centroids, leafCapacity, driverCounter)
           DaskAssign.interBounds(centroids, index, first = it == 0, cb, drifts, driverCounter)
           val partials = sc.runJob(rows, new Step(runId, k, leafCapacity, centroids, cb)).filter(_ != null)
 
@@ -248,8 +252,9 @@ object DistributedDaskMeans {
 
   /** One partition's assignment phase against `centroids`: the partition's
     * cached tree, built from its rows on first use, assigned by
-    * [[repro.core.DaskAssign.step]]. An empty partition returns null. The
-    * centroids and inter bounds travel in the serialized task.
+    * [[repro.core.DaskAssign.step]] over the entry's centroid index, made
+    * on first use and rebuilt in place after. An empty partition returns
+    * null. The centroids and inter bounds travel in the serialized task.
     */
   private final class Step(
       runId: String,
@@ -262,8 +267,8 @@ object DistributedDaskMeans {
       val entry = PartitionIndexCache.getOrBuild(runId, ctx.partitionId(), () => Decoded.read(rows).entry(k, leafCapacity))
       if (entry.state == null) null
       else {
-        val index = if (k > 1) new CentroidIndex(centroids, leafCapacity, entry.counter) else null
-        val pruned = DaskAssign.step(entry.state, centroids, cb, index, entry.counter)
+        entry.index = CentroidIndex.rebuildOrNew(entry.index, centroids, leafCapacity, entry.counter)
+        val pruned = DaskAssign.step(entry.state, centroids, cb, entry.index, entry.counter)
         Partial(pruned, entry.state.counts, entry.state.sums)
       }
     }

@@ -134,18 +134,17 @@ class CentroidIndexSpec extends AnyFunSuite {
     val rnd = new Random(17)
     val cs = centroids(200, 2, 17)
     val idx = new CentroidIndex(cs, 8, new DistanceCounter)
-    val lists = new CandidateLists(cs.length)
+    val lists = idx.lists
     val out = new Best2(0.0)
     val leaves = (0 until idx.built.nodeCount).map(idx.built.node).filter(_.isLeaf)
     var cases = 0
     for (_ <- 1 to 50; leaf <- leaves) {
       val q = Array.fill(2)(rnd.nextDouble() * 50)
       val seed = idx.built.idx(leaf.start)
-      val end = lists.bind(idx)
-      idx.nearestIn(q, 2, Double.PositiveInfinity, out, seed, Vec.dist(q, cs(seed)), lists, 0, end)
+      idx.nearestIn(q, 2, Double.PositiveInfinity, out, seed, Vec.dist(q, cs(seed)), 0, 1)
       if (lists.measuredNode(leaf.id) && !lists.scanned(leaf.id)) {
         cases += 1
-        val kept = lists.entries.slice(end, idx.narrow(lists, 0, end, Double.PositiveInfinity)).toSet
+        val kept = lists.entries.slice(1, idx.narrow(0, 1, Double.PositiveInfinity)).toSet
         assert(kept.contains(leaf.id), s"leaf ${leaf.id} was not kept whole")
         (leaf.start until leaf.end).foreach(i => assert(!kept.contains(~idx.built.idx(i))))
       }
@@ -228,6 +227,36 @@ class CentroidIndexSpec extends AnyFunSuite {
     index.rebuild(b).rebuild(a).rebuild(b) // warm-up; the pool now holds the larger tree
     assert(TestData.allocatedBytes(index.rebuild(a)) == 0)
     assert(TestData.allocatedBytes(index.rebuild(b)) == 0)
+  }
+
+  test("a rebuild onto a tree with more nodes grows the search scratch") {
+    val rnd = new Random(23)
+    val k = 100
+    // Uniform centroids split evenly; powers of two split off one or two at a time.
+    val small = centroids(k, 2, 24)
+    val large = Array.tabulate(k)(i => Array(math.pow(2, i), 1.0))
+    val (cg, cf) = (new DistanceCounter, new DistanceCounter)
+    val grown = new CentroidIndex(small, 8, cg)
+    val fresh = new CentroidIndex(large, 8, cf)
+    assert(grown.rebuild(large).built.nodeCount == fresh.built.nodeCount)
+    assert(fresh.built.nodeCount > 2 * new CentroidIndex(small, 8, new DistanceCounter).built.nodeCount)
+    val (a, b) = (new Best2(0.0), new Best2(0.0))
+    def same(x: Best2, y: Best2) = x.i1 == y.i1 && x.d1 == y.d1 && x.i2 == y.i2 && x.d2 == y.d2
+    (1 to 200).foreach { t =>
+      val q = Array(math.pow(2, rnd.nextInt(k)) * rnd.nextDouble(), rnd.nextDouble())
+      val want = 1 + t % 2
+      val (g0, f0) = (cg.count, cf.count)
+      assert(same(grown.nearest(q, want, Double.PositiveInfinity, a), fresh.nearest(q, want, Double.PositiveInfinity, b)))
+      // A point-tree node at q of radius 1: its search, its points' list and a point's search over that list.
+      assert(same(grown.nearestIn(q, 2, Double.PositiveInfinity, a, -1, 0.0, 0, 1),
+        fresh.nearestIn(q, 2, Double.PositiveInfinity, b, -1, 0.0, 0, 1)))
+      val (endA, endB) = (grown.narrow(0, 1, a.d1 + 2), fresh.narrow(0, 1, b.d1 + 2))
+      assert(grown.lists.entries.slice(1, endA).sameElements(fresh.lists.entries.slice(1, endB)), s"query $t")
+      val p = Array(q(0) + 0.5, q(1))
+      val ub = a.d1 + 1
+      assert(same(grown.nearestIn(p, 1, ub, a, -1, 0.0, 1, endA), fresh.nearestIn(p, 1, ub, b, -1, 0.0, 1, endB)))
+      assert(cg.count - g0 == cf.count - f0, s"query $t")
+    }
   }
 
   test("a rebuild over a different number or dimension of centroids is rejected") {

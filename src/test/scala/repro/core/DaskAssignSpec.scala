@@ -131,16 +131,33 @@ class DaskAssignSpec extends AnyFunSuite {
       val counter = new DistanceCounter
       val index0 = new CentroidIndex(cs, 16, counter)
       val cb = DaskAssign.interBounds(cs, index0, first = true, new Array[Double](k), new Array[Double](k), counter)
-      DaskAssign.step(state, cs, cb, index0, counter) // warm-up; sizes the run's candidate lists
+      DaskAssign.step(state, cs, cb, index0, counter) // warm-up; grows the index's candidate lists
       val drifts = new Array[Double](k)
       val next = state.refine(cs, drifts)
-      val index = new CentroidIndex(next, 16, counter)
+      val index = index0.rebuild(next) // as a run does every iteration
       val nextCb = DaskAssign.interBounds(next, index, first = false, cb, drifts, counter)
       val distancesBefore = counter.count
       val allocated = TestData.allocatedBytes(DaskAssign.step(state, next, nextCb, index, counter))
       assert(counter.count - distancesBefore > 10000, s"n=$n k=$k: the step did too little work to measure")
       assert(allocated < 1024, s"n=$n k=$k: $allocated bytes allocated by one step")
     }
+  }
+
+  test("a NokNN inter-bound pass and step allocate no result per scan") {
+    val (n, k) = (20000, 200)
+    val (_, state, cs) = fixture(n, k, 12)
+    val counter = new DistanceCounter
+    val cb = DaskAssign.interBounds(cs, null, first = true, new Array[Double](k), new Array[Double](k), counter)
+    DaskAssign.step(state, cs, cb, null, counter) // warm-up
+    val drifts = new Array[Double](k)
+    val next = state.refine(cs, drifts)
+    val distancesBefore = counter.count
+    val allocated = TestData.allocatedBytes {
+      DaskAssign.interBounds(next, null, first = false, cb, drifts, counter)
+      DaskAssign.step(state, next, cb, null, counter)
+    }
+    assert(counter.count - distancesBefore > 10000, "the pass and step did too little work to measure")
+    assert(allocated < 1024, s"$allocated bytes allocated by one inter-bound pass and step")
   }
 
   /** Inputs with exact ties: uniform, an integer grid, exact duplicates and
@@ -168,7 +185,6 @@ class DaskAssignSpec extends AnyFunSuite {
       val cs = KMeans.initCentroids(data, k, k.toLong)
       val index = new CentroidIndex(cs, 8, new DistanceCounter)
       val tree = BallTree.build(data, 4)
-      val lists = new CandidateLists(k)
       val out = new Best2(0.0)
       val rnd = new Random(k)
       // Compares distances, not ids: on a tie either id is a nearest one.
@@ -177,10 +193,10 @@ class DaskAssignSpec extends AnyFunSuite {
       // its leaf.
       def search(q: Array[Double], want: Int, ub: Double, from: Int, until: Int, what: String): Best2 = {
         val (t1, t2) = nearestDists(q, cs)
-        val low = index.nearestIn(q, want, t1 / 2, out, -1, 0.0, lists, from, until)
+        val low = index.nearestIn(q, want, t1 / 2, out, -1, 0.0, from, until)
         assert(low.d1 == t1 && (want == 1 || low.d2 == t2), s"$label k=$k $what: a too small bound")
         val seed = rnd.nextInt(k)
-        val b = index.nearestIn(q, want, ub, out, seed, Vec.dist(q, cs(seed)), lists, from, until)
+        val b = index.nearestIn(q, want, ub, out, seed, Vec.dist(q, cs(seed)), from, until)
         assert(b.d1 == t1 && (want == 1 || b.d2 == t2), s"$label k=$k $what")
         b
       }
@@ -188,16 +204,16 @@ class DaskAssignSpec extends AnyFunSuite {
         val b = search(node.pivot, 2, ub, from, until, s"node ${node.id}")
         if (node.isLeaf) {
           val pointUb = b.d1 + node.radius
-          val end = index.narrow(lists, from, until, b.d1 + 2 * node.radius)
+          val end = index.narrow(from, until, b.d1 + 2 * node.radius)
           Trees.members(tree, node).foreach(p => search(data(p), 1, pointUb, until, end, s"point $p"))
         } else {
           val childUb = b.d2 + node.radius
-          val end = index.narrow(lists, from, until, b.d2 + 2 * node.radius)
+          val end = index.narrow(from, until, b.d2 + 2 * node.radius)
           walk(node.left, childUb, until, end)
           walk(node.right, childUb, until, end)
         }
       }
-      walk(tree.root, Double.PositiveInfinity, 0, lists.bind(index))
+      walk(tree.root, Double.PositiveInfinity, 0, 1)
     }
   }
 

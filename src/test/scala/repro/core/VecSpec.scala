@@ -68,13 +68,14 @@ class VecSpec extends AnyFunSuite {
   test("nearest2 takes the lowest id on a tie and does not count the skipped centroid") {
     val cs = Array(Array(3.0, 0.0), Array(0.0, 1.0), Array(1.0, 0.0), Array(0.0, -1.0), Array(-1.0, 0.0))
     val c = new DistanceCounter
-    val b = c.nearest2(Array(0.0, 0.0), cs)
+    val out = new Best2(0.0) // one queue for every scan: each resets it
+    val b = c.nearest2(Array(0.0, 0.0), cs, out)
     assert(b.i1 == 1 && b.d1 == 1.0 && b.i2 == 2 && b.d2 == 1.0 && c.count == 5)
     val s = new DistanceCounter
-    val bs = s.nearest2(Array(0.0, 0.0), cs, skip = 3, skipDist = 0.5)
+    val bs = s.nearest2(Array(0.0, 0.0), cs, out, skip = 3, skipDist = 0.5)
     assert(bs.i1 == 3 && bs.d1 == 0.5 && bs.i2 == 1 && bs.d2 == 1.0 && s.count == cs.length - 1)
     val self = new DistanceCounter
-    val bself = self.nearest2(cs(2), cs, skip = 2)
+    val bself = self.nearest2(cs(2), cs, out, skip = 2)
     assert(bself.i1 == 2 && bself.d1 == 0.0 && self.count == cs.length - 1)
     assert(bself.i2 == 1 && bself.d2 == Vec.dist(cs(2), cs(1)), "self-skip gives the nearest-other distance")
   }

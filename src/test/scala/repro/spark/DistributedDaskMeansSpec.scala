@@ -7,7 +7,7 @@ import org.apache.spark.sql.functions.{col, lit, xxhash64}
 import org.apache.spark.sql.types._
 import repro.SparkSpec
 import repro.baselines.Lloyd
-import repro.core.{KMeans, Vec}
+import repro.core.{DaskMeans, KMeans, Vec}
 import repro.spatial.SpatialData
 
 import java.util.concurrent.atomic.AtomicInteger
@@ -271,6 +271,25 @@ class DistributedDaskMeansSpec extends SparkSpec {
     val init = KMeans.initCentroids(data, 5, 7L).map(_.init)
     intercept[Exception](DistributedDaskMeans.fit(df, 5, 3, numPartitions = 1, init = Some(init)))
     assert(PartitionIndexCache.size == before)
+  }
+
+  test("k = 1, a one-leaf and a two-leaf centroid index fit as serial Dask-means does") {
+    val (df, data) = fixture(1500, "Porto")
+    for (k <- Seq(1, 8, 9)) { // the centroid index has one leaf up to k = 8
+      val init = KMeans.initCentroids(data, k, k.toLong)
+      val ref = new DaskMeans().run(data, k, 6, init)
+      val fitted = DistributedDaskMeans.fit(df, k, 6, numPartitions = 3, init = Some(init))
+      try {
+        assert(fitted.iterations == ref.iterations && (k == 1 || ref.iterations >= 3), s"k=$k")
+        fitted.centroids.indices.foreach(j => assert(Vec.dist(fitted.centroids(j), ref.centroids(j)) < 1e-9, s"k=$k centroid $j"))
+        val assigned = DistributedDaskMeans.assignments(df, fitted).collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
+        assert(data.indices.forall(i => assigned(i.toLong) == ref.assignments(i)), s"k=$k")
+        val sizes = new Array[Long](k)
+        ref.assignments.foreach(a => sizes(a) += 1)
+        assert(fitted.counts.sameElements(sizes), s"k=$k")
+      } finally DistributedDaskMeans.cleanup(fitted)
+      assert(PartitionIndexCache.size == 0, s"k=$k")
+    }
   }
 
   test("fit outputs pinned bit for bit on five fixed inputs") {
