@@ -20,8 +20,8 @@ object DaskAssign {
     * allocates two result queues, one for node searches and one for point
     * searches, and nothing per search, with or without an index.
     *
-    * @param cb     inter bounds per centroid (Eq. 3); pass null to disable
-    *               the Eq. 4/5 checks (the NoInB ablation)
+    * @param cb     inter bounds per centroid (Eq. 3); all zero for the
+    *               NoInB ablation, since a zero bound never passes Eq. 4/5
     * @param index  centroid index for this iteration; pass null for linear
     *               centroid scans (the NokNN ablation)
     * @return the number of point-iterations assigned in batch or kept by a
@@ -53,7 +53,7 @@ object DaskAssign {
       var seedDist = -1.0
       if (prev >= 0) {
         seedDist = counter.dist(data(p), centroids(prev))
-        if (cb != null && seedDist < cb(prev) / 2) { pruned += 1; return } // Eq. 4
+        if (seedDist < cb(prev) / 2) { pruned += 1; return } // Eq. 4
       }
       val n1 =
         if (index != null) index.nearestIn(data(p), 1, ub, pointBest, prev, seedDist, from, until).i1
@@ -66,7 +66,7 @@ object DaskAssign {
       var seedDist = -1.0
       if (prev >= 0) {
         seedDist = counter.dist(node.pivot, centroids(prev))
-        if (cb != null && seedDist + node.radius < cb(prev) / 2) { // Eq. 5
+        if (seedDist + node.radius < cb(prev) / 2) { // Eq. 5
           pruned += node.count
           return
         }

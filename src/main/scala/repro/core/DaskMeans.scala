@@ -24,8 +24,8 @@ import repro.estimator.MemoryEstimator
   *
   * @param useKnn        false ⇒ the NokNN ablation: centroid searches scan
   *                      all k centroids linearly (no centroid index)
-  * @param useInterBound false ⇒ the NoInB ablation: Eq. 4/5 checks and
-  *                      cb[·] maintenance are disabled
+  * @param useInterBound false ⇒ the NoInB ablation: cb[·] is never
+  *                      computed and stays zero, so Eq. 4/5 never fire
   * @param leafCapacity  the paper's f (memory-tunable, Eq. 12) for the point
   *                      tree; the centroid index caps it at
   *                      [[CentroidIndex.MaxLeafCapacity]]
@@ -57,13 +57,14 @@ final class DaskMeans(
       counter: DistanceCounter,
   ): KMeansAlgo.Run = new KMeansAlgo.Run {
     private val state = new TreeAssignmentState(data, prebuilt.getOrElse(BallTree.build(data, leafCapacity)), k)
+    /** Inter bounds (Eq. 3); all zero under NoInB, where a distance ≥ 0 never passes Eq. 4/5. */
     private val cb = new Array[Double](k)
     private var index: CentroidIndex = null
 
     override def assign(centroids: Array[Array[Double]], it: Int, drifts: Array[Double]): Long = {
       if (useKnn) index = CentroidIndex.rebuildOrNew(index, centroids, leafCapacity, counter)
       if (useInterBound) DaskAssign.interBounds(centroids, index, first = it == 0, cb, drifts, counter)
-      DaskAssign.step(state, centroids, if (useInterBound) cb else null, index, counter)
+      DaskAssign.step(state, centroids, cb, index, counter)
     }
 
     override def refine(centroids: Array[Array[Double]], drifts: Array[Double]): Array[Array[Double]] =

@@ -3,6 +3,7 @@ package repro.spark
 import org.apache.spark.TaskContext
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.expressions.XXH64
 import org.apache.spark.sql.functions._
 
 import repro.core._
@@ -75,13 +76,14 @@ object DistributedDaskMeans {
   /** Deterministic initial centroids: the k rows with the smallest seeded
     * hashes `xxhash64(id, seed)` of their ids as longs (a seeded
     * pseudo-random sample), in that order. Rows with equal hashes are
-    * ordered by id, then by their order in `df`. Each partition keeps its own
-    * k smallest and the driver keeps the k smallest of those, the same
-    * selection as the first job of a [[fit]] without `init`.
+    * ordered by id, then by their order in `df`. Each partition hashes its
+    * ids and keeps its k smallest rows; the driver keeps the k smallest of
+    * those, the same selection as the first job of a [[fit]] without `init`.
     */
   def initialCentroids(df: DataFrame, k: Int, seed: Long): Array[Array[Double]] = {
-    val rows = hashed(df, seed).queryExecution.toRdd
-    smallest(df.sparkSession.sparkContext.runJob(rows, (it: Iterator[InternalRow]) => Decoded.read(it).smallest(k)), k)
+    val rows = typed(df).queryExecution.toRdd
+    val samples = df.sparkSession.sparkContext.runJob(rows, (it: Iterator[InternalRow]) => Decoded.read(it).smallest(k, seed))
+    smallest(samples, k, seed)
   }
 
   /** Fit k-means over `df` (columns `id`, `features`; an integral id and
@@ -113,11 +115,11 @@ object DistributedDaskMeans {
     }
     val sc = df.sparkSession.sparkContext
     val parts = if (numPartitions > 0) numPartitions else sc.defaultParallelism
-    val rows = hashed(df, seed).repartition(parts, col("id")).queryExecution.toRdd
+    val rows = typed(df).repartition(parts, col("id")).queryExecution.toRdd
     val runId = java.util.UUID.randomUUID().toString
     val driverCounter = new DistanceCounter
     try {
-      val start = init.getOrElse(smallest(sc.runJob(rows, new Pick(runId, k, leafCapacity)), k))
+      val start = init.getOrElse(smallest(sc.runJob(rows, new Pick(runId, k, leafCapacity, seed)), k, seed))
       require(start.length == k, s"need 1 <= k <= n, got k=$k n=${start.length}")
       val d = start(0).length
       // One set of driver arrays for the whole fit, refilled every phase.
@@ -164,26 +166,23 @@ object DistributedDaskMeans {
   private def typed(df: DataFrame): DataFrame =
     df.select(col("id").cast("long").as("id"), col("features").cast("array<double>").as("features"))
 
-  /** [[typed]] with a third column, the seeded hash of the id. */
-  private def hashed(df: DataFrame, seed: Long): DataFrame =
-    typed(df).withColumn("hash", xxhash64(col("id"), lit(seed)))
-
   /** The points of the k smallest rows of the per-partition samples, taken
     * in partition order.
     */
-  private def smallest(samples: Array[Decoded], k: Int): Array[Array[Double]] =
-    new Decoded(samples.flatMap(_.ids), samples.flatMap(_.points), samples.flatMap(_.hashes)).smallest(k).points
+  private def smallest(samples: Array[Decoded], k: Int, seed: Long): Array[Array[Double]] =
+    new Decoded(samples.flatMap(_.ids), samples.flatMap(_.points)).smallest(k, seed).points
 
-  /** One partition's rows of [[hashed]], decoded column by column. */
-  private final class Decoded(val ids: Array[Long], val points: Array[Array[Double]], val hashes: Array[Long])
-      extends Serializable {
+  /** One partition's rows of [[typed]], decoded column by column. */
+  private final class Decoded(val ids: Array[Long], val points: Array[Array[Double]]) extends Serializable {
 
-    /** The min(k, n) rows of smallest (hash, id), in that order; rows that
-      * tie on both keep their order.
+    /** The min(k, n) rows of smallest (`xxhash64(id, seed)`, id), in that
+      * order; rows that tie on both keep their order.
       */
-    def smallest(k: Int): Decoded = {
+    def smallest(k: Int, seed: Long): Decoded = {
       val m = math.min(k, ids.length)
-      if (m <= 0) return new Decoded(Array.empty, Array.empty, Array.empty)
+      if (m <= 0) return new Decoded(Array.empty, Array.empty)
+      // Spark SQL's xxhash64(id, seed): the id, then the seed, from its default seed 42.
+      val hashes = ids.map(id => XXH64.hashLong(seed, XXH64.hashLong(id, 42L)))
       val sorted = hashes.clone()
       java.util.Arrays.sort(sorted)
       val cut = sorted(m - 1)
@@ -191,7 +190,7 @@ object DistributedDaskMeans {
       // when hashes tie at the cut.
       val below = java.util.stream.IntStream.range(0, hashes.length).filter(hashes(_) <= cut).toArray
       val order = below.sorted(Ordering.by[Int, Long](hashes(_)).orElseBy(ids(_))).take(m)
-      new Decoded(order.map(ids(_)), order.map(points(_)), order.map(hashes(_)))
+      new Decoded(order.map(ids(_)), order.map(points(_)))
     }
 
     /** The partition's cache entry: its ids and a tree over its points. */
@@ -203,15 +202,14 @@ object DistributedDaskMeans {
 
   private object Decoded {
 
-    /** Decodes binary rows `(id, features, hash)`, which the iterator may
-      * reuse, into fresh primitive arrays; no id, hash or coordinate is
-      * boxed. Rejects a null id, a null features array or coordinate and a
-      * NaN or infinite coordinate.
+    /** Decodes binary rows `(id, features)`, which the iterator may reuse,
+      * into fresh primitive arrays; no id or coordinate is boxed. Rejects a
+      * null id, a null features array or coordinate and a NaN or infinite
+      * coordinate.
       */
     def read(rows: Iterator[InternalRow]): Decoded = {
       val ids = new ArrayBuilder.ofLong
       val points = new ArrayBuilder.ofRef[Array[Double]]
-      val hashes = new ArrayBuilder.ofLong
       while (rows.hasNext) {
         val r = rows.next()
         require(!r.isNullAt(0), "data has a null id")
@@ -227,9 +225,8 @@ object DistributedDaskMeans {
         }
         ids.addOne(r.getLong(0))
         points.addOne(p)
-        hashes.addOne(r.getLong(2))
       }
-      new Decoded(ids.result(), points.result(), hashes.result())
+      new Decoded(ids.result(), points.result())
     }
   }
 
@@ -241,12 +238,12 @@ object DistributedDaskMeans {
     * [[initialCentroids]]. It reads the rows even when a retried task finds
     * the entry built.
     */
-  private final class Pick(runId: String, k: Int, leafCapacity: Int)
+  private final class Pick(runId: String, k: Int, leafCapacity: Int, seed: Long)
       extends ((TaskContext, Iterator[InternalRow]) => Decoded) with Serializable {
     def apply(ctx: TaskContext, rows: Iterator[InternalRow]): Decoded = {
       val part = Decoded.read(rows)
       PartitionIndexCache.getOrBuild(runId, ctx.partitionId(), () => part.entry(k, leafCapacity))
-      part.smallest(k)
+      part.smallest(k, seed)
     }
   }
 

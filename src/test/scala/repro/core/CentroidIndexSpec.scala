@@ -134,7 +134,6 @@ class CentroidIndexSpec extends AnyFunSuite {
     val rnd = new Random(17)
     val cs = centroids(200, 2, 17)
     val idx = new CentroidIndex(cs, 8, new DistanceCounter)
-    val lists = idx.lists
     val out = new Best2(0.0)
     val leaves = (0 until idx.built.nodeCount).map(idx.built.node).filter(_.isLeaf)
     var cases = 0
@@ -142,9 +141,9 @@ class CentroidIndexSpec extends AnyFunSuite {
       val q = Array.fill(2)(rnd.nextDouble() * 50)
       val seed = idx.built.idx(leaf.start)
       idx.nearestIn(q, 2, Double.PositiveInfinity, out, seed, Vec.dist(q, cs(seed)), 0, 1)
-      if (lists.measuredNode(leaf.id) && !lists.scanned(leaf.id)) {
+      if (idx.measured(leaf.id) && !idx.opened(leaf.id)) {
         cases += 1
-        val kept = lists.entries.slice(1, idx.narrow(0, 1, Double.PositiveInfinity)).toSet
+        val kept = idx.list(1, idx.narrow(0, 1, Double.PositiveInfinity)).toSet
         assert(kept.contains(leaf.id), s"leaf ${leaf.id} was not kept whole")
         (leaf.start until leaf.end).foreach(i => assert(!kept.contains(~idx.built.idx(i))))
       }
@@ -251,12 +250,58 @@ class CentroidIndexSpec extends AnyFunSuite {
       assert(same(grown.nearestIn(q, 2, Double.PositiveInfinity, a, -1, 0.0, 0, 1),
         fresh.nearestIn(q, 2, Double.PositiveInfinity, b, -1, 0.0, 0, 1)))
       val (endA, endB) = (grown.narrow(0, 1, a.d1 + 2), fresh.narrow(0, 1, b.d1 + 2))
-      assert(grown.lists.entries.slice(1, endA).sameElements(fresh.lists.entries.slice(1, endB)), s"query $t")
+      assert(grown.list(1, endA).sameElements(fresh.list(1, endB)), s"query $t")
       val p = Array(q(0) + 0.5, q(1))
       val ub = a.d1 + 1
       assert(same(grown.nearestIn(p, 1, ub, a, -1, 0.0, 1, endA), fresh.nearestIn(p, 1, ub, b, -1, 0.0, 1, endB)))
       assert(cg.count - g0 == cf.count - f0, s"query $t")
     }
+  }
+
+  test("a reused index carries nothing from one search to the next") {
+    val rnd = new Random(25)
+    val cs = centroids(200, 2, 25)
+    val (cr, cf) = (new DistanceCounter, new DistanceCounter)
+    val reused = new CentroidIndex(cs, 8, cr)
+    val (a, b) = (new Best2(0.0), new Best2(0.0))
+    def same(x: Best2, y: Best2) = x.i1 == y.i1 && x.d1 == y.d1 && x.i2 == y.i2 && x.d2 == y.d2
+    def seedFor(q: Array[Double]): (Int, Double) =
+      if (rnd.nextBoolean()) { val s = rnd.nextInt(cs.length); (s, Vec.dist(q, cs(s))) } else (-1, 0.0)
+    val kinds = Array.fill(3)(0)
+    (1 to 300).foreach { t =>
+      val fresh = new CentroidIndex(cs, 8, cf)
+      val q = Array.fill(2)(rnd.nextDouble() * 50)
+      val kind = rnd.nextInt(3)
+      val want = if (kind == 2) 2 else 1 + rnd.nextInt(2)
+      val (_, d1, _, d2) = brute2(cs, q)
+      val truth = if (want == 1) d1 else d2
+      // No bound, a valid one, or one below the true distance, so that the search runs again.
+      val ub = Seq(Double.PositiveInfinity, truth * 1.5, truth / 2)(rnd.nextInt(3))
+      val (seed, seedDist) = seedFor(q)
+      val what = s"search $t: kind $kind, want $want, seed $seed, ub $ub"
+      val (r0, f0) = (cr.count, cf.count)
+      kinds(kind) += 1
+      kind match {
+        case 0 =>
+          assert(same(reused.nearest(q, want, ub, a, seed, seedDist), fresh.nearest(q, want, ub, b, seed, seedDist)), what)
+        case 1 =>
+          assert(same(reused.nearestIn(q, want, ub, a, seed, seedDist, 0, 1),
+            fresh.nearestIn(q, want, ub, b, seed, seedDist, 0, 1)), what)
+        case _ =>
+          // A point-tree node at q of radius 1, its points' list and a point's search over that list.
+          assert(same(reused.nearestIn(q, 2, ub, a, seed, seedDist, 0, 1),
+            fresh.nearestIn(q, 2, ub, b, seed, seedDist, 0, 1)), what)
+          val (endA, endB) = (reused.narrow(0, 1, a.d1 + 2), fresh.narrow(0, 1, b.d1 + 2))
+          assert(reused.list(1, endA).sameElements(fresh.list(1, endB)), what)
+          val p = Array(q(0) + 0.5, q(1))
+          val (ps, psDist) = seedFor(p)
+          val pointUb = a.d1 + 1
+          assert(same(reused.nearestIn(p, 1, pointUb, a, ps, psDist, 1, endA),
+            fresh.nearestIn(p, 1, pointUb, b, ps, psDist, 1, endB)), s"$what, point seed $ps")
+      }
+      assert(cr.count - r0 == cf.count - f0, what)
+    }
+    assert(kinds.forall(_ > 50))
   }
 
   test("a rebuild over a different number or dimension of centroids is rejected") {

@@ -28,7 +28,7 @@ class DaskAssignSpec extends AnyFunSuite {
     val (data, state, cs) = fixture(600, 9, 1)
     val counter = new DistanceCounter
     val index = new CentroidIndex(cs, 16, counter)
-    DaskAssign.step(state, cs, null, index, counter)
+    DaskAssign.step(state, cs, new Array[Double](9), index, counter)
     assert(state.materialize().sameElements(bruteAssign(data, cs)))
   }
 
@@ -85,7 +85,7 @@ class DaskAssignSpec extends AnyFunSuite {
   test("step without an index (NokNN) still assigns exactly") {
     val (data, state, cs) = fixture(400, 7, 5)
     val counter = new DistanceCounter
-    DaskAssign.step(state, cs, null, null, counter)
+    DaskAssign.step(state, cs, new Array[Double](7), null, counter)
     assert(state.materialize().sameElements(bruteAssign(data, cs)))
   }
 
@@ -93,10 +93,10 @@ class DaskAssignSpec extends AnyFunSuite {
     val data = Array(Array(1.0, 0.0), Array(1.0, 1.0), Array(1.0, -1.0))
     val state = new TreeAssignmentState(data, BallTree.build(data, 2), 2)
     val counter = new DistanceCounter
-    DaskAssign.step(state, Array(Array(-10.0, 0.0), Array(1.0, 0.0)), null, null, counter)
+    DaskAssign.step(state, Array(Array(-10.0, 0.0), Array(1.0, 0.0)), new Array[Double](2), null, counter)
     assert(state.materialize().forall(_ == 1))
     val tied = Array(Array(0.0, 0.0), Array(2.0, 0.0)) // every point is equidistant from both
-    DaskAssign.step(state, tied, null, null, counter)
+    DaskAssign.step(state, tied, new Array[Double](2), null, counter)
     assert(state.materialize().sameElements(data.map(Vec.nearest(_, tied))))
   }
 
@@ -107,7 +107,7 @@ class DaskAssignSpec extends AnyFunSuite {
       var cs = from
       (1 to iters).foreach { _ =>
         val counter = new DistanceCounter
-        DaskAssign.step(state, cs, null, new CentroidIndex(cs, 16, counter), counter)
+        DaskAssign.step(state, cs, new Array[Double](cs.length), new CentroidIndex(cs, 16, counter), counter)
         cs = state.refine(cs, new Array[Double](cs.length))
       }
       cs
@@ -229,7 +229,7 @@ class DaskAssignSpec extends AnyFunSuite {
         val counter = new DistanceCounter
         val index = new CentroidIndex(cs, 8, counter)
         if (useCb) DaskAssign.interBounds(cs, index, first = it == 0, cb, drifts, counter)
-        DaskAssign.step(state, cs, if (useCb) cb else null, index, counter)
+        DaskAssign.step(state, cs, cb, index, counter) // cb stays zero without inter bounds
         val a = state.materialize()
         data.indices.foreach { p =>
           assert(Vec.dist(data(p), cs(a(p))) == nearestDists(data(p), cs)._1, s"k=$k cb=$useCb iteration $it point $p")
@@ -242,7 +242,7 @@ class DaskAssignSpec extends AnyFunSuite {
   test("k=1 short-circuits to a single batch assignment") {
     val (data, state, _) = fixture(200, 1, 6)
     val counter = new DistanceCounter
-    val pruned = DaskAssign.step(state, Array(Array(0.0, 0.0)), null, null, counter)
+    val pruned = DaskAssign.step(state, Array(Array(0.0, 0.0)), Array(0.0), null, counter)
     assert(pruned == 200 && state.materialize().forall(_ == 0))
     assert(counter.count == 0, "no distances needed for k=1")
   }
@@ -251,7 +251,7 @@ class DaskAssignSpec extends AnyFunSuite {
     val (data, state, cs) = fixture(500, 4, 7)
     val counter = new DistanceCounter
     val index = new CentroidIndex(cs, 16, counter)
-    val pruned = DaskAssign.step(state, cs, null, index, counter)
+    val pruned = DaskAssign.step(state, cs, new Array[Double](4), index, counter)
     assert(pruned >= 0 && pruned <= data.length)
   }
 
